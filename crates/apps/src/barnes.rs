@@ -9,10 +9,11 @@
 //!
 //! Table 2 raises the cell/leaf array granularity to 512 bytes.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Dsm};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
@@ -162,7 +163,65 @@ impl Tree {
     }
 }
 
-/// Accumulated force on body `b` from the tree, via a cell accessor.
+/// The next tree node a [`Walk`] needs the data of.
+enum Node {
+    Cell(usize),
+    Body(usize),
+}
+
+/// Barnes-Hut traversal for one body, driven by its caller: [`Walk::next`]
+/// names the node the walk needs next and the caller supplies its data with
+/// [`Walk::cell`] or [`Walk::body`]. The DSM kernel fetches nodes with
+/// awaited reads; the native reference reads them directly.
+struct Walk {
+    b: usize,
+    pb: [f64; 3],
+    force: [f64; 3],
+    stack: Vec<f64>,
+    visits: u64,
+}
+
+impl Walk {
+    fn new(b: usize, pb: [f64; 3]) -> Self {
+        Walk { b, pb, force: [0.0; 3], stack: vec![enc_cell(0)], visits: 0 }
+    }
+
+    fn next(&mut self) -> Option<Node> {
+        while let Some(enc) = self.stack.pop() {
+            self.visits += 1;
+            if enc == enc_none() {
+                continue;
+            }
+            if enc < 0.0 {
+                let j = (-enc) as usize - 1;
+                if j != self.b {
+                    return Some(Node::Body(j));
+                }
+            } else {
+                return Some(Node::Cell(enc as usize - 1));
+            }
+        }
+        None
+    }
+
+    fn body(&mut self, pj: [f64; 3], mj: f64) {
+        add_grav(&mut self.force, self.pb, pj, mj);
+    }
+
+    fn cell(&mut self, rec: &[f64; CELL_F64]) {
+        let pb = self.pb;
+        let com = [rec[0], rec[1], rec[2]];
+        let (m, half) = (rec[3], rec[4]);
+        let d2: f64 = (0..3).map(|d| (pb[d] - com[d]) * (pb[d] - com[d])).sum();
+        if (2.0 * half) * (2.0 * half) < THETA * THETA * d2 {
+            add_grav(&mut self.force, pb, com, m);
+        } else {
+            self.stack.extend_from_slice(&rec[5..13]);
+        }
+    }
+}
+
+/// Accumulated force on body `b` from the tree, via native accessors.
 fn force_on(
     b: usize,
     pb: [f64; 3],
@@ -170,36 +229,18 @@ fn force_on(
     read_body: &mut dyn FnMut(usize) -> ([f64; 3], f64),
     visits: &mut u64,
 ) -> [f64; 3] {
-    let mut force = [0.0f64; 3];
-    let mut stack = vec![enc_cell(0)];
-    while let Some(enc) = stack.pop() {
-        *visits += 1;
-        if enc == enc_none() {
-            continue;
-        }
-        if enc < 0.0 {
-            let j = (-enc) as usize - 1;
-            if j == b {
-                continue;
-            }
-            let (pj, mj) = read_body(j);
-            add_grav(&mut force, pb, pj, mj);
-        } else {
-            let c = enc as usize - 1;
-            let rec = read_cell(c);
-            let com = [rec[0], rec[1], rec[2]];
-            let (m, half) = (rec[3], rec[4]);
-            let d2: f64 = (0..3).map(|d| (pb[d] - com[d]) * (pb[d] - com[d])).sum();
-            if (2.0 * half) * (2.0 * half) < THETA * THETA * d2 {
-                add_grav(&mut force, pb, com, m);
-            } else {
-                for k in 0..8 {
-                    stack.push(rec[5 + k]);
-                }
+    let mut walk = Walk::new(b, pb);
+    while let Some(node) = walk.next() {
+        match node {
+            Node::Cell(c) => walk.cell(&read_cell(c)),
+            Node::Body(j) => {
+                let (pj, mj) = read_body(j);
+                walk.body(pj, mj);
             }
         }
     }
-    force
+    *visits += walk.visits;
+    walk.force
 }
 
 fn add_grav(force: &mut [f64; 3], pb: [f64; 3], src: [f64; 3], m: f64) {
@@ -314,7 +355,7 @@ impl DsmApp for Barnes {
                 let expected = expected.clone();
                 let mass = Arc::clone(&mass);
                 let my_bodies = chunk(n, procs, p);
-                Box::new(move |mut dsm: Dsm| {
+                body(move |mut dsm: Dsm| async move {
                     let body_rec = |b: usize| bodies_addr + b as u64 * BODY_BYTES;
                     let cell_rec = |c: usize| cells_addr + c as u64 * CELL_BYTES;
                     let mut barrier = 0u32;
@@ -323,58 +364,58 @@ impl DsmApp for Barnes {
                             // Rebuild the tree through the DSM.
                             let mut pos = Vec::with_capacity(n);
                             for b in 0..n {
-                                let v = dsm.read_f64s(body_rec(b), 3);
+                                let v = dsm.read_f64s(body_rec(b), 3).await;
                                 pos.push([v[0], v[1], v[2]]);
                             }
                             let tree = Tree::build(&pos, &mass);
                             dsm.compute(220 * n as u64); // tree construction work
                             for (c, rec) in tree.cells.iter().enumerate() {
-                                dsm.write_f64s(cell_rec(c), rec);
+                                dsm.write_f64s(cell_rec(c), rec).await;
                             }
-                            dsm.store_u64(ctrl, tree.cells.len() as u64);
+                            dsm.store_u64(ctrl, tree.cells.len() as u64).await;
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                         // Force phase: traverse the read-shared tree. A
                         // per-step native cache models the hardware cache on
                         // repeat accesses (the DSM fetch happens once).
                         let mut cell_cache: HashMap<usize, [f64; CELL_F64]> = HashMap::new();
                         let mut body_cache: HashMap<usize, ([f64; 3], f64)> = HashMap::new();
-                        let _ncells = dsm.load_u64(ctrl);
+                        let _ncells = dsm.load_u64(ctrl).await;
                         for b in my_bodies.clone() {
                             let pb = {
-                                let v = dsm.read_f64s(body_rec(b), 3);
+                                let v = dsm.read_f64s(body_rec(b), 3).await;
                                 [v[0], v[1], v[2]]
                             };
-                            let mut visits = 0u64;
-                            let force = {
-                                let dsm_cell = std::cell::RefCell::new(&mut dsm);
-                                let mut read_cell = |c: usize| {
-                                    *cell_cache.entry(c).or_insert_with(|| {
-                                        let v =
-                                            dsm_cell.borrow_mut().read_f64s(cell_rec(c), CELL_F64);
-                                        v.try_into().expect("cell record")
-                                    })
-                                };
-                                let mut read_body = |j: usize| {
-                                    *body_cache.entry(j).or_insert_with(|| {
-                                        let v = dsm_cell.borrow_mut().read_f64s(body_rec(j), 3);
-                                        let m = f64::from_bits(
-                                            dsm_cell.borrow_mut().load_u64(body_rec(j) + 9 * 8),
-                                        );
-                                        ([v[0], v[1], v[2]], m)
-                                    })
-                                };
-                                force_on(b, pb, &mut read_cell, &mut read_body, &mut visits)
-                            };
-                            dsm.compute(VISIT_CYCLES * visits);
-                            dsm.write_f64s(body_rec(b) + 6 * 8, &force);
+                            let mut walk = Walk::new(b, pb);
+                            while let Some(node) = walk.next() {
+                                match node {
+                                    Node::Cell(c) => {
+                                        if let Entry::Vacant(slot) = cell_cache.entry(c) {
+                                            let v = dsm.read_f64s(cell_rec(c), CELL_F64).await;
+                                            slot.insert(v.try_into().expect("cell record"));
+                                        }
+                                        walk.cell(&cell_cache[&c]);
+                                    }
+                                    Node::Body(j) => {
+                                        if let Entry::Vacant(slot) = body_cache.entry(j) {
+                                            let v = dsm.read_f64s(body_rec(j), 3).await;
+                                            let m = dsm.load_u64(body_rec(j) + 9 * 8).await;
+                                            slot.insert(([v[0], v[1], v[2]], f64::from_bits(m)));
+                                        }
+                                        let (pj, mj) = body_cache[&j];
+                                        walk.body(pj, mj);
+                                    }
+                                }
+                            }
+                            dsm.compute(VISIT_CYCLES * walk.visits);
+                            dsm.write_f64s(body_rec(b) + 6 * 8, &walk.force).await;
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                         // Update phase: integrate own bodies.
                         for b in my_bodies.clone() {
-                            let r = dsm.read_f64s(body_rec(b), 9);
+                            let r = dsm.read_f64s(body_rec(b), 9).await;
                             dsm.compute(20);
                             let mut out = [0.0f64; 9];
                             for d in 0..3 {
@@ -382,9 +423,9 @@ impl DsmApp for Barnes {
                                 out[d] = r[d] + 1e-3 * out[3 + d];
                                 out[6 + d] = 0.0;
                             }
-                            dsm.write_f64s(body_rec(b), &out);
+                            dsm.write_f64s(body_rec(b), &out).await;
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                     }
                     if p == 0 {
@@ -392,14 +433,14 @@ impl DsmApp for Barnes {
                             let mut got = Vec::with_capacity(n * 3);
                             let mut want = Vec::with_capacity(n * 3);
                             for b in 0..n {
-                                got.extend(dsm.read_f64s(body_rec(b), 3));
+                                got.extend(dsm.read_f64s(body_rec(b), 3).await);
                                 want.extend_from_slice(&expected[b]);
                             }
                             assert_close("Barnes", &got, &want, 1e-9);
                         }
                     }
-                    dsm.barrier(u32::MAX);
-                }) as Body
+                    dsm.barrier(u32::MAX).await;
+                })
             })
             .collect()
     }

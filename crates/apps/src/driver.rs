@@ -1,13 +1,11 @@
 //! The application trait and the experiment driver.
 
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
 use shasta_core::protocol::{Machine, ProtoMsg, ProtocolConfig, SetupCtx};
 use shasta_memchan::Transport;
 use shasta_stats::RunStats;
 
-/// One processor's program.
-pub type Body = Box<dyn FnOnce(Dsm) + Send>;
+pub use shasta_core::api::Body;
 
 /// Problem-size preset.
 ///
@@ -335,7 +333,7 @@ pub fn run_app_observed_memory_home(
     assert_eq!(bodies.len(), cfg.procs as usize, "plan must produce one body per compute proc");
     // Memory-node processors finish immediately but keep serving messages.
     while bodies.len() < (cfg.procs + per_node) as usize {
-        bodies.push(Box::new(|_dsm| {}));
+        bodies.push(shasta_core::api::body(|_dsm| async {}));
     }
     machine.set_barrier_participants(cfg.procs);
     machine.enable_obs(ring_capacity);

@@ -10,9 +10,10 @@
 //! placement optimization); Table 2 raises the box-array granularity to
 //! 256 bytes.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Dsm};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
@@ -229,7 +230,7 @@ impl DsmApp for Fmm {
                 let my_boxes = chunk(nb, procs, p);
                 let _ = order;
                 let _ = owner_of_box;
-                Box::new(move |mut dsm: Dsm| {
+                body(move |mut dsm: Dsm| async move {
                     let box_rec = |b: usize| boxes_addr + b as u64 * BOX_BYTES;
                     // Phase 1 (P2M): monopoles for own boxes from own
                     // (local) particles.
@@ -237,7 +238,7 @@ impl DsmApp for Fmm {
                         let (first, count) = ranges[b];
                         let (mut q, mut cx, mut cy) = (0.0f64, 0.0f64, 0.0f64);
                         for k in first..first + count {
-                            let v = dsm.read_f64s(part_addr[k], 2);
+                            let v = dsm.read_f64s(part_addr[k], 2).await;
                             q += 1.0;
                             cx += v[0];
                             cy += v[1];
@@ -247,9 +248,10 @@ impl DsmApp for Fmm {
                         dsm.write_f64s(
                             box_rec(b),
                             &[q, cx, cy, count as f64, first as f64, 0.0, 0.0, 0.0],
-                        );
+                        )
+                        .await;
                     }
-                    dsm.barrier(0);
+                    dsm.barrier(0).await;
                     // Phase 2: M2L over the read-shared box array plus
                     // near-field P2P with neighbour boxes' particles.
                     let mut box_cache: std::collections::HashMap<usize, Vec<f64>> =
@@ -263,10 +265,10 @@ impl DsmApp for Fmm {
                             if neigh.contains(&fb) {
                                 continue;
                             }
-                            let rec = box_cache
-                                .entry(fb)
-                                .or_insert_with(|| dsm.read_f64s(box_rec(fb), 3))
-                                .clone();
+                            if let Entry::Vacant(slot) = box_cache.entry(fb) {
+                                slot.insert(dsm.read_f64s(box_rec(fb), 3).await);
+                            }
+                            let rec = box_cache[&fb].clone();
                             dsm.compute(M2L_CYCLES);
                             let (q, cx, cy) = (rec[0], rec[1], rec[2]);
                             if q == 0.0 {
@@ -280,13 +282,13 @@ impl DsmApp for Fmm {
                         for nb_ in &neigh {
                             let (nf, nc) = ranges[*nb_];
                             for k in nf..nf + nc {
-                                let v = dsm.read_f64s(part_addr[k], 2);
+                                let v = dsm.read_f64s(part_addr[k], 2).await;
                                 near.push((k, [v[0], v[1]]));
                             }
                         }
                         let (first, count) = ranges[b];
                         for k in first..first + count {
-                            let v = dsm.read_f64s(part_addr[k], 2);
+                            let v = dsm.read_f64s(part_addr[k], 2).await;
                             let mut pot = local;
                             for (kj, pj) in &near {
                                 if *kj == k {
@@ -296,21 +298,21 @@ impl DsmApp for Fmm {
                                 let d2 = (v[0] - pj[0]).powi(2) + (v[1] - pj[1]).powi(2);
                                 pot += 0.5 * (d2 + 1e-6).ln();
                             }
-                            dsm.store_f64(part_addr[k] + 16, pot);
+                            dsm.store_f64(part_addr[k] + 16, pot).await;
                         }
                     }
-                    dsm.barrier(1);
+                    dsm.barrier(1).await;
                     if p == 0 {
                         if let Some(expected) = expected {
                             let mut got = Vec::with_capacity(n);
                             for k in 0..n {
-                                got.push(f64::from_bits(dsm.load_u64(part_addr[k] + 16)));
+                                got.push(f64::from_bits(dsm.load_u64(part_addr[k] + 16).await));
                             }
                             assert_close("FMM", &got, &expected, 1e-9);
                         }
                     }
-                    dsm.barrier(u32::MAX);
-                }) as Body
+                    dsm.barrier(u32::MAX).await;
+                })
             })
             .collect()
     }

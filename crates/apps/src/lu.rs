@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Dsm};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{Addr, BlockHint, HomeHint};
 
@@ -192,7 +192,7 @@ fn gemm_sub(aij: &mut [f64], lik: &[f64], ukj: &[f64], b: usize) {
 }
 
 /// Reads block `(bi, bj)` through the DSM.
-fn read_block(
+async fn read_block(
     dsm: &mut Dsm,
     layout: &Layout,
     n: usize,
@@ -205,19 +205,19 @@ fn read_block(
             let mut out = Vec::with_capacity(b * b);
             for r in 0..b {
                 let addr = base + (((bi * b + r) * n + bj * b) * 8) as u64;
-                out.extend(dsm.read_f64s(addr, b));
+                out.extend(dsm.read_f64s(addr, b).await);
             }
             out
         }
         Layout::Blocked { blocks } => {
             let nb = n / b;
-            dsm.read_f64s(blocks[bi * nb + bj], b * b)
+            dsm.read_f64s(blocks[bi * nb + bj], b * b).await
         }
     }
 }
 
 /// Writes block `(bi, bj)` through the DSM.
-fn write_block(
+async fn write_block(
     dsm: &mut Dsm,
     layout: &Layout,
     n: usize,
@@ -230,12 +230,12 @@ fn write_block(
         Layout::RowMajor { base } => {
             for r in 0..b {
                 let addr = base + (((bi * b + r) * n + bj * b) * 8) as u64;
-                dsm.write_f64s(addr, &blk[r * b..r * b + b]);
+                dsm.write_f64s(addr, &blk[r * b..r * b + b]).await;
             }
         }
         Layout::Blocked { blocks } => {
             let nb = n / b;
-            dsm.write_f64s(blocks[bi * nb + bj], blk);
+            dsm.write_f64s(blocks[bi * nb + bj], blk).await;
         }
     }
 }
@@ -315,60 +315,63 @@ impl DsmApp for Lu {
                 let layout = layout.clone();
                 let app = app.clone();
                 let expected = expected.clone();
-                Box::new(move |mut dsm: Dsm| {
+                body(move |mut dsm: Dsm| async move {
                     let mut barrier = 0u32;
                     for k in 0..nb {
                         if app.owner(procs, k, k) == p {
-                            let mut diag = read_block(&mut dsm, &layout, n, b, k, k);
+                            let mut diag = read_block(&mut dsm, &layout, n, b, k, k).await;
                             dsm.compute(FMA_CYCLES * (b * b * b) as u64 / 3);
                             factor_block(&mut diag, b);
-                            write_block(&mut dsm, &layout, n, b, k, k, &diag);
+                            write_block(&mut dsm, &layout, n, b, k, k, &diag).await;
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                         // Perimeter: row k and column k panels.
                         let mut diag: Option<Vec<f64>> = None;
                         for j in k + 1..nb {
                             if app.owner(procs, k, j) == p {
-                                let d = diag.get_or_insert_with(|| {
-                                    read_block(&mut dsm, &layout, n, b, k, k)
-                                });
-                                let mut blk = read_block(&mut dsm, &layout, n, b, k, j);
+                                if diag.is_none() {
+                                    diag = Some(read_block(&mut dsm, &layout, n, b, k, k).await);
+                                }
+                                let d = diag.as_deref().expect("block read above");
+                                let mut blk = read_block(&mut dsm, &layout, n, b, k, j).await;
                                 dsm.compute(FMA_CYCLES * (b * b * b) as u64 / 2);
                                 solve_lower(d, &mut blk, b);
-                                write_block(&mut dsm, &layout, n, b, k, j, &blk);
+                                write_block(&mut dsm, &layout, n, b, k, j, &blk).await;
                             }
                         }
                         for i in k + 1..nb {
                             if app.owner(procs, i, k) == p {
-                                let d = diag.get_or_insert_with(|| {
-                                    read_block(&mut dsm, &layout, n, b, k, k)
-                                });
-                                let mut blk = read_block(&mut dsm, &layout, n, b, i, k);
+                                if diag.is_none() {
+                                    diag = Some(read_block(&mut dsm, &layout, n, b, k, k).await);
+                                }
+                                let d = diag.as_deref().expect("block read above");
+                                let mut blk = read_block(&mut dsm, &layout, n, b, i, k).await;
                                 dsm.compute(FMA_CYCLES * (b * b * b) as u64 / 2);
                                 solve_upper(d, &mut blk, b);
-                                write_block(&mut dsm, &layout, n, b, i, k, &blk);
+                                write_block(&mut dsm, &layout, n, b, i, k, &blk).await;
                             }
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                         // Interior updates.
                         for i in k + 1..nb {
                             let mut lik: Option<Vec<f64>> = None;
                             for j in k + 1..nb {
                                 if app.owner(procs, i, j) == p {
-                                    let l = lik.get_or_insert_with(|| {
-                                        read_block(&mut dsm, &layout, n, b, i, k)
-                                    });
-                                    let ukj = read_block(&mut dsm, &layout, n, b, k, j);
-                                    let mut aij = read_block(&mut dsm, &layout, n, b, i, j);
+                                    if lik.is_none() {
+                                        lik = Some(read_block(&mut dsm, &layout, n, b, i, k).await);
+                                    }
+                                    let l = lik.as_deref().expect("block read above");
+                                    let ukj = read_block(&mut dsm, &layout, n, b, k, j).await;
+                                    let mut aij = read_block(&mut dsm, &layout, n, b, i, j).await;
                                     dsm.compute(FMA_CYCLES * (b * b * b) as u64);
                                     gemm_sub(&mut aij, l, &ukj, b);
-                                    write_block(&mut dsm, &layout, n, b, i, j, &aij);
+                                    write_block(&mut dsm, &layout, n, b, i, j, &aij).await;
                                 }
                             }
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                     }
                     if p == 0 {
@@ -376,7 +379,7 @@ impl DsmApp for Lu {
                             let mut got = vec![0.0f64; n * n];
                             for bi in 0..nb {
                                 for bj in 0..nb {
-                                    let blk = read_block(&mut dsm, &layout, n, b, bi, bj);
+                                    let blk = read_block(&mut dsm, &layout, n, b, bi, bj).await;
                                     for r in 0..b {
                                         got[(bi * b + r) * n + bj * b
                                             ..(bi * b + r) * n + bj * b + b]
@@ -386,11 +389,11 @@ impl DsmApp for Lu {
                             }
                             assert_close("LU", &got, &expected, 1e-9);
                         }
-                        dsm.barrier(u32::MAX);
+                        dsm.barrier(u32::MAX).await;
                     } else {
-                        dsm.barrier(u32::MAX);
+                        dsm.barrier(u32::MAX).await;
                     }
-                }) as Body
+                })
             })
             .collect()
     }

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Dsm};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
@@ -127,7 +127,7 @@ impl DsmApp for Ocean {
                 let row_addr = Arc::clone(&row_addr);
                 let expected = expected.clone();
                 let my_rows: Vec<usize> = chunk(interior, procs, p).map(|r| r + 1).collect();
-                Box::new(move |mut dsm: Dsm| {
+                body(move |mut dsm: Dsm| async move {
                     let mut barrier = 0u32;
                     for _ in 0..iters {
                         for color in 0..2usize {
@@ -135,7 +135,7 @@ impl DsmApp for Ocean {
                             if let (Some(&lo), Some(&hi)) = (my_rows.first(), my_rows.last()) {
                                 let mut rows = Vec::with_capacity(my_rows.len() + 2);
                                 for r in lo - 1..=hi + 1 {
-                                    rows.push(dsm.read_f64s(row_addr[r], n));
+                                    rows.push(dsm.read_f64s(row_addr[r], n).await);
                                 }
                                 for (i, &r) in my_rows.iter().enumerate() {
                                     let mut new_row = rows[i + 1].clone();
@@ -149,10 +149,10 @@ impl DsmApp for Ocean {
                                                     + rows[i + 1][c + 1]);
                                         }
                                     }
-                                    dsm.write_f64s(row_addr[r], &new_row);
+                                    dsm.write_f64s(row_addr[r], &new_row).await;
                                 }
                             }
-                            dsm.barrier(barrier);
+                            dsm.barrier(barrier).await;
                             barrier += 1;
                         }
                     }
@@ -161,13 +161,13 @@ impl DsmApp for Ocean {
                             let mut got = vec![0.0f64; n * n];
                             for r in 0..n {
                                 got[r * n..(r + 1) * n]
-                                    .copy_from_slice(&dsm.read_f64s(row_addr[r], n));
+                                    .copy_from_slice(&dsm.read_f64s(row_addr[r], n).await);
                             }
                             assert_close("Ocean", &got, &expected, 1e-9);
                         }
                     }
-                    dsm.barrier(u32::MAX);
-                }) as Body
+                    dsm.barrier(u32::MAX).await;
+                })
             })
             .collect()
     }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Dsm};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
@@ -140,18 +140,18 @@ impl DsmApp for Raytrace {
             .map(|p| {
                 let queues = queues.clone();
                 let expected = expected.clone();
-                Box::new(move |mut dsm: Dsm| {
+                body(move |mut dsm: Dsm| async move {
                     // Fetch the scene through the DSM (read-shared; one cold
                     // fetch per node under clustering), then trace from the
                     // local copy as hardware caches would.
                     let mut scene = Vec::with_capacity(nspheres);
                     for i in 0..nspheres {
-                        let v = dsm.read_f64s(scene_addr + i as u64 * SPH_BYTES, 5);
+                        let v = dsm.read_f64s(scene_addr + i as u64 * SPH_BYTES, 5).await;
                         scene.push([v[0], v[1], v[2], v[3], v[4]]);
                     }
                     let local = Raytrace { width: w, height: h, spheres: Arc::new(scene) };
                     let tiles_x = w / TILE;
-                    while let Some(task) = queues.next_task(&mut dsm, p) {
+                    while let Some(task) = queues.next_task(&mut dsm, p).await {
                         let (tx, ty) = ((task as usize) % tiles_x, (task as usize) / tiles_x);
                         for row in 0..TILE {
                             let py = ty * TILE + row;
@@ -161,21 +161,24 @@ impl DsmApp for Raytrace {
                                 *out = local.shade(tx * TILE + col, py, &mut tests);
                             }
                             dsm.compute(HIT_CYCLES * tests);
-                            dsm.write_f64s(image_addr + ((py * w + tx * TILE) * 8) as u64, &line);
+                            dsm.write_f64s(image_addr + ((py * w + tx * TILE) * 8) as u64, &line)
+                                .await;
                         }
                     }
-                    dsm.barrier(0);
+                    dsm.barrier(0).await;
                     if p == 0 {
                         if let Some(expected) = expected {
                             let mut got = Vec::with_capacity(w * h);
                             for py in 0..h {
-                                got.extend(dsm.read_f64s(image_addr + ((py * w) * 8) as u64, w));
+                                got.extend(
+                                    dsm.read_f64s(image_addr + ((py * w) * 8) as u64, w).await,
+                                );
                             }
                             crate::driver::assert_close("Raytrace", &got, &expected, 1e-12);
                         }
                     }
-                    dsm.barrier(u32::MAX);
-                }) as Body
+                    dsm.barrier(u32::MAX).await;
+                })
             })
             .collect()
     }

@@ -44,29 +44,29 @@ impl TaskQueues {
         TaskQueues { bases: Arc::new(bases), lock_base, procs }
     }
 
-    fn pop(&self, dsm: &mut Dsm, q: u32) -> Option<u64> {
+    async fn pop(&self, dsm: &mut Dsm, q: u32) -> Option<u64> {
         let lock = self.lock_base + q;
         let base = self.bases[q as usize];
-        dsm.acquire(lock);
-        let len = dsm.load_u64(base);
+        dsm.acquire(lock).await;
+        let len = dsm.load_u64(base).await;
         let task = if len > 0 {
-            let t = dsm.load_u64(base + 8 * len);
-            dsm.store_u64(base, len - 1);
+            let t = dsm.load_u64(base + 8 * len).await;
+            dsm.store_u64(base, len - 1).await;
             Some(t)
         } else {
             None
         };
-        dsm.release(lock);
+        dsm.release(lock).await;
         task
     }
 
     /// Pops the next task: own queue first, then steal round-robin.
     /// `None` means every queue was observed empty (tasks are only seeded
     /// at setup, so this is terminal).
-    pub fn next_task(&self, dsm: &mut Dsm, me: u32) -> Option<u64> {
+    pub async fn next_task(&self, dsm: &mut Dsm, me: u32) -> Option<u64> {
         for k in 0..self.procs {
             let q = (me + k) % self.procs;
-            if let Some(t) = self.pop(dsm, q) {
+            if let Some(t) = self.pop(dsm, q).await {
                 return Some(t);
             }
         }

@@ -4,10 +4,11 @@
 //! maps — the two arrays whose coherence granularity Table 2 raises to
 //! 1024 bytes — rendered into image tiles distributed through task queues.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Dsm};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{BlockHint, HomeHint};
 
@@ -77,21 +78,29 @@ impl Volrend {
 
     /// Front-to-back compositing along the ray of pixel `(px, py)`.
     fn cast(&self, px: usize, py: usize, voxel: &mut dyn FnMut(usize) -> u8) -> f64 {
-        let g = self.g;
-        let x = px * g / self.img;
-        let y = py * g / self.img;
-        let mut color = 0.0;
-        let mut transparency = 1.0;
-        for z in 0..g {
-            let v = voxel((z * g + y) * g + x) as usize;
-            let a = self.opacity[v];
-            color += transparency * a * self.shading[v];
-            transparency *= 1.0 - a;
-            if transparency < 1e-3 {
+        let mut ray = (0.0, 1.0);
+        for z in 0..self.g {
+            if !self.composite(&mut ray, voxel(self.ray_voxel(px, py, z))) {
                 break;
             }
         }
-        color
+        ray.0
+    }
+
+    /// Index of the voxel sampled at depth `z` along the ray of pixel
+    /// `(px, py)`.
+    fn ray_voxel(&self, px: usize, py: usize, z: usize) -> usize {
+        let g = self.g;
+        (z * g + py * g / self.img) * g + px * g / self.img
+    }
+
+    /// Composites voxel value `v` into the ray's `(color, transparency)`;
+    /// returns whether the ray is still translucent enough to continue.
+    fn composite(&self, ray: &mut (f64, f64), v: u8) -> bool {
+        let a = self.opacity[v as usize];
+        ray.0 += ray.1 * a * self.shading[v as usize];
+        ray.1 *= 1.0 - a;
+        ray.1 >= 1e-3
     }
 
     fn tiles(&self) -> u64 {
@@ -158,10 +167,10 @@ impl DsmApp for Volrend {
                 let queues = queues.clone();
                 let expected = expected.clone();
                 let app = app.clone();
-                Box::new(move |mut dsm: Dsm| {
+                body(move |mut dsm: Dsm| async move {
                     // Read the transfer maps through the DSM once.
-                    let opacity = dsm.read_f64s(opac_addr, 256);
-                    let shading = dsm.read_f64s(shade_addr, 256);
+                    let opacity = dsm.read_f64s(opac_addr, 256).await;
+                    let shading = dsm.read_f64s(shade_addr, 256).await;
                     let local = Volrend {
                         opacity: Arc::new(opacity),
                         shading: Arc::new(shading),
@@ -171,41 +180,48 @@ impl DsmApp for Volrend {
                     // cached natively (the hardware-cache analogue).
                     let mut chunks: HashMap<usize, Vec<u8>> = HashMap::new();
                     let tiles_x = img / TILE;
-                    while let Some(task) = queues.next_task(&mut dsm, p) {
+                    while let Some(task) = queues.next_task(&mut dsm, p).await {
                         let (tx, ty) = ((task as usize) % tiles_x, (task as usize) / tiles_x);
                         for row in 0..TILE {
                             let py = ty * TILE + row;
                             let mut line = [0.0f64; TILE];
                             let mut samples = 0u64;
+                            // `cast`, with each chunk fetched on first touch.
                             for (col, out) in line.iter_mut().enumerate() {
-                                let mut voxel = |i: usize| {
+                                let mut ray = (0.0, 1.0);
+                                for z in 0..local.g {
+                                    let i = local.ray_voxel(tx * TILE + col, py, z);
                                     samples += 1;
                                     let c = i / CHUNK;
-                                    let chunk = chunks.entry(c).or_insert_with(|| {
-                                        dsm.read_range(vol_addr + (c * CHUNK) as u64, CHUNK as u64)
-                                    });
-                                    chunk[i % CHUNK]
-                                };
-                                *out = local.cast(tx * TILE + col, py, &mut voxel);
+                                    if let Entry::Vacant(slot) = chunks.entry(c) {
+                                        let addr = vol_addr + (c * CHUNK) as u64;
+                                        slot.insert(dsm.read_range(addr, CHUNK as u64).await);
+                                    }
+                                    if !local.composite(&mut ray, chunks[&c][i % CHUNK]) {
+                                        break;
+                                    }
+                                }
+                                *out = ray.0;
                             }
                             dsm.compute(SAMPLE_CYCLES * samples);
-                            dsm.write_f64s(image_addr + ((py * img + tx * TILE) * 8) as u64, &line);
+                            dsm.write_f64s(image_addr + ((py * img + tx * TILE) * 8) as u64, &line)
+                                .await;
                         }
                     }
-                    dsm.barrier(0);
+                    dsm.barrier(0).await;
                     if p == 0 {
                         if let Some(expected) = expected {
                             let mut got = Vec::with_capacity(img * img);
                             for py in 0..img {
                                 got.extend(
-                                    dsm.read_f64s(image_addr + ((py * img) * 8) as u64, img),
+                                    dsm.read_f64s(image_addr + ((py * img) * 8) as u64, img).await,
                                 );
                             }
                             crate::driver::assert_close("Volrend", &got, &expected, 1e-12);
                         }
                     }
-                    dsm.barrier(u32::MAX);
-                }) as Body
+                    dsm.barrier(u32::MAX).await;
+                })
             })
             .collect()
     }

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Dsm};
 use shasta_core::protocol::SetupCtx;
 use shasta_core::space::{Addr, BlockHint, HomeHint};
 
@@ -195,7 +195,7 @@ impl WaterCommon {
                 let expected = expected.clone();
                 let my_pairs = chunk(pairs.len(), procs, p);
                 let my_mols = chunk(n, procs, p);
-                Box::new(move |mut dsm: Dsm| {
+                body(move |mut dsm: Dsm| async move {
                     let mut barrier = 0u32;
                     let rec = |i: usize| mols + i as u64 * REC_BYTES;
                     for _ in 0..steps {
@@ -206,14 +206,17 @@ impl WaterCommon {
                         let mut pos_cache: std::collections::HashMap<usize, [f64; 3]> =
                             std::collections::HashMap::new();
                         for &(i, j) in &pairs[my_pairs.clone()] {
-                            let mut read_pos = |dsm: &mut Dsm, m: usize| {
-                                *pos_cache.entry(m).or_insert_with(|| {
-                                    let v = dsm.read_f64s(rec(m), 3);
-                                    [v[0], v[1], v[2]]
-                                })
+                            let mut read_pos = async |dsm: &mut Dsm, m: usize| {
+                                if let Some(pos) = pos_cache.get(&m) {
+                                    return *pos;
+                                }
+                                let v = dsm.read_f64s(rec(m), 3).await;
+                                let pos = [v[0], v[1], v[2]];
+                                pos_cache.insert(m, pos);
+                                pos
                             };
-                            let pi = read_pos(&mut dsm, i);
-                            let pj = read_pos(&mut dsm, j);
+                            let pi = read_pos(&mut dsm, i).await;
+                            let pj = read_pos(&mut dsm, j).await;
                             dsm.compute(PAIR_CYCLES);
                             if let Some(f) = pair_force(pi, pj) {
                                 for d in 0..3 {
@@ -225,34 +228,34 @@ impl WaterCommon {
                         // Phase 2: locked accumulation into the shared
                         // records — the migratory pattern.
                         for (m, f) in &local {
-                            dsm.acquire(*m as u32);
-                            let cur = dsm.read_f64s(rec(*m) + 6 * 8, 3);
+                            dsm.acquire(*m as u32).await;
+                            let cur = dsm.read_f64s(rec(*m) + 6 * 8, 3).await;
                             dsm.compute(10);
                             // Scalar (non-blocking) stores: under coarse
                             // blocks the record's block is contended, and
                             // Shasta's store path never stalls on steals.
                             for d in 0..3 {
-                                dsm.store_f64(rec(*m) + (6 + d as u64) * 8, cur[d] + f[d]);
+                                dsm.store_f64(rec(*m) + (6 + d as u64) * 8, cur[d] + f[d]).await;
                             }
-                            dsm.release(*m as u32);
+                            dsm.release(*m as u32).await;
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                         // Phase 3: owners integrate their molecules and
                         // clear forces.
                         for m in my_mols.clone() {
-                            let r = dsm.read_f64s(rec(m), 9);
+                            let r = dsm.read_f64s(rec(m), 9).await;
                             dsm.compute(INTEGRATE_CYCLES);
                             for d in 0..3u64 {
                                 let du = d as usize;
                                 let vel = r[3 + du] + 1e-4 * r[6 + du];
                                 let pos = r[du] + 1e-4 * vel;
-                                dsm.store_f64(rec(m) + d * 8, pos);
-                                dsm.store_f64(rec(m) + (3 + d) * 8, vel);
-                                dsm.store_f64(rec(m) + (6 + d) * 8, 0.0);
+                                dsm.store_f64(rec(m) + d * 8, pos).await;
+                                dsm.store_f64(rec(m) + (3 + d) * 8, vel).await;
+                                dsm.store_f64(rec(m) + (6 + d) * 8, 0.0).await;
                             }
                         }
-                        dsm.barrier(barrier);
+                        dsm.barrier(barrier).await;
                         barrier += 1;
                     }
                     if p == 0 {
@@ -260,14 +263,14 @@ impl WaterCommon {
                             let mut got = Vec::with_capacity(n * 3);
                             let mut want = Vec::with_capacity(n * 3);
                             for m in 0..n {
-                                got.extend(dsm.read_f64s(rec(m), 3));
+                                got.extend(dsm.read_f64s(rec(m), 3).await);
                                 want.extend_from_slice(&expected[m]);
                             }
                             assert_close(name, &got, &want, 1e-6);
                         }
                     }
-                    dsm.barrier(u32::MAX);
-                }) as Body
+                    dsm.barrier(u32::MAX).await;
+                })
             })
             .collect()
     }

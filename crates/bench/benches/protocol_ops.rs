@@ -4,13 +4,13 @@
 //! seconds); the paper-facing numbers (simulated cycles) come from the
 //! experiment binaries.
 
+use std::future::Future;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 fn machine(procs: u32, clustering: u32, cfg: ProtocolConfig) -> (Machine, u64) {
     let topo = Topology::paper_placement(procs, clustering).unwrap();
@@ -19,20 +19,16 @@ fn machine(procs: u32, clustering: u32, cfg: ProtocolConfig) -> (Machine, u64) {
     (m, a)
 }
 
-fn run(
-    procs: u32,
-    clustering: u32,
-    cfg: ProtocolConfig,
-    f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static,
-) {
-    let (mut m, a) = machine(procs, clustering, cfg);
+fn run<F, Fut>(procs: u32, clustering: u32, cfg: ProtocolConfig, f: F)
+where
+    F: FnOnce(u32, Dsm) -> Fut + Send + Clone + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    let (mut m, _) = machine(procs, clustering, cfg);
     let bodies: Vec<Body> = (0..procs)
         .map(|p| {
             let f = f.clone();
-            Box::new(move |mut dsm: Dsm| {
-                let _ = a;
-                f(p, &mut dsm)
-            }) as Body
+            body(move |dsm| f(p, dsm))
         })
         .collect();
     m.run(bodies);
@@ -42,10 +38,10 @@ fn bench_inline_hits(c: &mut Criterion) {
     c.bench_function("inline_hit_loads_1k", |b| {
         b.iter(|| {
             let (mut m, a) = machine(1, 1, ProtocolConfig::smp());
-            let bodies: Vec<Body> = vec![Box::new(move |mut dsm: Dsm| {
-                dsm.store_u64(a, 7);
+            let bodies: Vec<Body> = vec![body(move |mut dsm: Dsm| async move {
+                dsm.store_u64(a, 7).await;
                 for _ in 0..1_000 {
-                    std::hint::black_box(dsm.load_u64(a));
+                    std::hint::black_box(dsm.load_u64(a).await);
                 }
             })];
             m.run(bodies);
@@ -56,13 +52,13 @@ fn bench_inline_hits(c: &mut Criterion) {
 fn bench_remote_misses(c: &mut Criterion) {
     c.bench_function("remote_read_misses_64", |b| {
         b.iter(|| {
-            run(8, 1, ProtocolConfig::base(), move |p, dsm| {
+            run(8, 1, ProtocolConfig::base(), move |p, mut dsm| async move {
                 if p == 4 {
                     for i in 0..64u64 {
-                        std::hint::black_box(dsm.load_u64(0x1000 + i * 64));
+                        std::hint::black_box(dsm.load_u64(0x1000 + i * 64).await);
                     }
                 }
-                dsm.barrier(0);
+                dsm.barrier(0).await;
             })
         })
     });
@@ -71,18 +67,18 @@ fn bench_remote_misses(c: &mut Criterion) {
 fn bench_downgrades(c: &mut Criterion) {
     c.bench_function("downgrade_round_trips_32", |b| {
         b.iter(|| {
-            run(8, 4, ProtocolConfig::smp(), move |p, dsm| {
+            run(8, 4, ProtocolConfig::smp(), move |p, mut dsm| async move {
                 // Node 0 writes; node 1 reads; repeat — every round forces
                 // an exclusive->shared downgrade with messages.
                 for i in 0..32u64 {
                     if p < 2 {
-                        dsm.store_u64(0x1000, i);
+                        dsm.store_u64(0x1000, i).await;
                     }
-                    dsm.barrier(2 * i as u32);
+                    dsm.barrier(2 * i as u32).await;
                     if p >= 4 {
-                        std::hint::black_box(dsm.load_u64(0x1000));
+                        std::hint::black_box(dsm.load_u64(0x1000).await);
                     }
-                    dsm.barrier(2 * i as u32 + 1);
+                    dsm.barrier(2 * i as u32 + 1).await;
                 }
             })
         })
@@ -92,21 +88,21 @@ fn bench_downgrades(c: &mut Criterion) {
 fn bench_sync(c: &mut Criterion) {
     c.bench_function("lock_handoffs_256", |b| {
         b.iter(|| {
-            run(8, 4, ProtocolConfig::smp(), move |_, dsm| {
+            run(8, 4, ProtocolConfig::smp(), move |_, mut dsm| async move {
                 for _ in 0..32 {
-                    dsm.acquire(5);
+                    dsm.acquire(5).await;
                     dsm.compute(50);
-                    dsm.release(5);
+                    dsm.release(5).await;
                 }
-                dsm.barrier(0);
+                dsm.barrier(0).await;
             })
         })
     });
     c.bench_function("barriers_64", |b| {
         b.iter(|| {
-            run(8, 4, ProtocolConfig::smp(), move |_, dsm| {
+            run(8, 4, ProtocolConfig::smp(), move |_, mut dsm| async move {
                 for i in 0..64u32 {
-                    dsm.barrier(i);
+                    dsm.barrier(i).await;
                 }
             })
         })

@@ -6,11 +6,9 @@
 //! needing one message and +≈5 µs for each additional message.
 
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 /// Runs a microbenchmark machine: the home (P0) spin-polls as a dedicated
 /// server, `writers` processors on node 0 first touch the block, then the
@@ -21,25 +19,25 @@ fn read_latency_us(cfg: ProtocolConfig, clustering: u32, writers: u32, requester
     let addr = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..8u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 // Phase 1: writers on node 0 establish exclusive private
                 // state, in processor order.
                 if p < writers {
                     dsm.compute(200 * p as u64);
-                    dsm.store_u64(addr, p as u64 + 1);
+                    dsm.store_u64(addr, p as u64 + 1).await;
                 }
-                dsm.barrier(0);
+                dsm.barrier(0).await;
                 if p == 0 {
                     // The home serves requests from its poll loop.
                     for _ in 0..3_000 {
                         dsm.compute(20);
-                        dsm.poll();
+                        dsm.poll().await;
                     }
                 } else if p == requester {
                     dsm.compute(1_000);
-                    let _ = dsm.load_u64(addr);
+                    let _ = dsm.load_u64(addr).await;
                 }
-            }) as Body
+            })
         })
         .collect();
     let stats = m.run(bodies);
@@ -83,17 +81,17 @@ fn main() {
     let addr = m.setup(|s| s.malloc(2_048, BlockHint::Bytes(2_048), HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..8u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 if p == 0 {
                     for _ in 0..3_000 {
                         dsm.compute(20);
-                        dsm.poll();
+                        dsm.poll().await;
                     }
                 } else if p == 4 {
                     dsm.compute(1_000);
-                    let _ = dsm.read_range(addr, 2_048);
+                    let _ = dsm.read_range(addr, 2_048).await;
                 }
-            }) as Body
+            })
         })
         .collect();
     let stats = m.run(bodies);

@@ -61,18 +61,17 @@ impl DsmApp for FalseShareSynth {
             s.malloc_labeled(REGIONS * region, self.hint, HomeHint::Explicit(0), "synth.regions");
         (0..opts.procs)
             .map(|p| {
-                let body: Body = Box::new(move |mut dsm| {
+                shasta_core::api::body(move |mut dsm| async move {
                     for round in 0..ROUNDS {
                         for r in 0..REGIONS {
                             let slice = base + r * region + p as u64 * SLICE;
                             for slot in (0..SLICE).step_by(8) {
-                                dsm.store_u64(slice + slot, (round as u64) << 32 | r);
+                                dsm.store_u64(slice + slot, (round as u64) << 32 | r).await;
                             }
                         }
-                        dsm.barrier(round);
+                        dsm.barrier(round).await;
                     }
-                });
-                body
+                })
             })
             .collect()
     }

@@ -38,7 +38,7 @@ use std::sync::{Mutex, Once};
 
 use shasta_cluster::{CostModel, Topology};
 use shasta_core::space::{BlockHint, HomeHint};
-use shasta_core::{BugInjection, Dsm, Machine, Mode, ProtocolConfig};
+use shasta_core::{body, Body, BugInjection, Dsm, Machine, Mode, ProtocolConfig};
 use shasta_sim::SchedulePolicy;
 use shasta_stats::RunStats;
 
@@ -521,7 +521,7 @@ pub fn run_scenario_observed(
 /// slot array is homed *on the memory node* so every miss crosses to it.
 /// For every other cluster kind `workers == procs` and the arithmetic below
 /// is exactly the historical kernel.
-fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Box<dyn FnOnce(Dsm) + Send>> {
+fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Body> {
     let procs = s.workers();
     let iters = s.iters;
     let home = match s.cluster {
@@ -535,98 +535,100 @@ fn plan_kernel(m: &mut Machine, s: &Scenario) -> Vec<Box<dyn FnOnce(Dsm) + Send>
             let kernel = s.kernel;
             if p >= procs {
                 // Memory-node processor: no computation, just message service.
-                return Box::new(move |_dsm: Dsm| {}) as Box<dyn FnOnce(Dsm) + Send>;
+                return body(|_dsm| async {});
             }
-            Box::new(move |mut dsm: Dsm| match kernel {
-                Kernel::FalseSharing => {
-                    for r in 0..iters {
-                        let v = dsm.load_u64(slot(p));
-                        dsm.store_u64(slot(p), v + 1);
-                        dsm.compute(20);
-                        dsm.barrier(2 * r);
-                        // Every slot was incremented exactly once per round.
-                        let peer = (p + 1 + r % procs) % procs;
-                        let got = dsm.load_u64(slot(peer));
-                        assert_eq!(
-                            got,
-                            u64::from(r) + 1,
-                            "P{p} round {r}: slot {peer} holds {got}, expected {}",
-                            r + 1
-                        );
-                        dsm.barrier(2 * r + 1);
+            body(move |mut dsm: Dsm| async move {
+                match kernel {
+                    Kernel::FalseSharing => {
+                        for r in 0..iters {
+                            let v = dsm.load_u64(slot(p)).await;
+                            dsm.store_u64(slot(p), v + 1).await;
+                            dsm.compute(20);
+                            dsm.barrier(2 * r).await;
+                            // Every slot was incremented exactly once per round.
+                            let peer = (p + 1 + r % procs) % procs;
+                            let got = dsm.load_u64(slot(peer)).await;
+                            assert_eq!(
+                                got,
+                                u64::from(r) + 1,
+                                "P{p} round {r}: slot {peer} holds {got}, expected {}",
+                                r + 1
+                            );
+                            dsm.barrier(2 * r + 1).await;
+                        }
+                    }
+                    Kernel::TightIncrement => {
+                        // Every processor increments its own word of the shared
+                        // block with no intra-loop synchronization; block
+                        // ownership ping-pongs between nodes every round. The
+                        // compute between a load and its store sweeps a
+                        // different phase each round and each processor, so
+                        // across rounds a remote node's upgrade-invalidation
+                        // lands *inside* the load→store gap: the node is then
+                        // `Shared` with both private entries ≥ Shared (both
+                        // mates took the protocol path for their loads) and the
+                        // next local op is a store — the §3.4.3 window where a
+                        // store reaches a block in `PendingDgInvalid`.
+                        // The gap is sized to straddle a cross-node message
+                        // latency (misses cost thousands of cycles on the
+                        // modeled hardware) and swept across rounds/processors
+                        // so some rounds put the store right behind an arriving
+                        // invalidation.
+                        for r in 0..iters {
+                            let v = dsm.load_u64(slot(p)).await;
+                            dsm.compute(300 + (u64::from(r) * 1571 + u64::from(p) * 2097) % 5700);
+                            dsm.store_u64(slot(p), v + 1).await;
+                        }
+                        dsm.barrier(0).await;
+                        // Words are disjoint, so under any legal schedule every
+                        // slot ends at exactly `iters`.
+                        for q in 0..procs {
+                            let got = dsm.load_u64(slot(q)).await;
+                            assert_eq!(
+                                got,
+                                u64::from(iters),
+                                "P{p}: slot {q} holds {got}, expected {iters} (lost store)"
+                            );
+                        }
+                    }
+                    Kernel::RotatingOwner => {
+                        for r in 0..iters {
+                            // Writer p owns slot (p + r) % procs this round —
+                            // a bijection, so every slot has exactly one writer.
+                            let mine = (p + r) % procs;
+                            dsm.store_u64(slot(mine), (u64::from(r) << 32) | u64::from(mine)).await;
+                            dsm.compute(20);
+                            dsm.barrier(2 * r).await;
+                            let peer = (p + r + 1) % procs;
+                            let got = dsm.load_u64(slot(peer)).await;
+                            assert_eq!(
+                                got,
+                                (u64::from(r) << 32) | u64::from(peer),
+                                "P{p} round {r}: slot {peer} holds {got:#x}"
+                            );
+                            dsm.barrier(2 * r + 1).await;
+                        }
+                    }
+                    Kernel::LockCounter => {
+                        for _ in 0..iters {
+                            dsm.acquire(0).await;
+                            let v = dsm.load_u64(slot(0)).await;
+                            dsm.compute(10);
+                            dsm.store_u64(slot(0), v + 1).await;
+                            dsm.release(0).await;
+                        }
+                        dsm.barrier(u32::MAX).await;
+                        if p == 0 {
+                            let total = dsm.load_u64(slot(0)).await;
+                            assert_eq!(
+                                total,
+                                u64::from(procs) * u64::from(iters),
+                                "lock counter lost increments"
+                            );
+                        }
                     }
                 }
-                Kernel::TightIncrement => {
-                    // Every processor increments its own word of the shared
-                    // block with no intra-loop synchronization; block
-                    // ownership ping-pongs between nodes every round. The
-                    // compute between a load and its store sweeps a
-                    // different phase each round and each processor, so
-                    // across rounds a remote node's upgrade-invalidation
-                    // lands *inside* the load→store gap: the node is then
-                    // `Shared` with both private entries ≥ Shared (both
-                    // mates took the protocol path for their loads) and the
-                    // next local op is a store — the §3.4.3 window where a
-                    // store reaches a block in `PendingDgInvalid`.
-                    // The gap is sized to straddle a cross-node message
-                    // latency (misses cost thousands of cycles on the
-                    // modeled hardware) and swept across rounds/processors
-                    // so some rounds put the store right behind an arriving
-                    // invalidation.
-                    for r in 0..iters {
-                        let v = dsm.load_u64(slot(p));
-                        dsm.compute(300 + (u64::from(r) * 1571 + u64::from(p) * 2097) % 5700);
-                        dsm.store_u64(slot(p), v + 1);
-                    }
-                    dsm.barrier(0);
-                    // Words are disjoint, so under any legal schedule every
-                    // slot ends at exactly `iters`.
-                    for q in 0..procs {
-                        let got = dsm.load_u64(slot(q));
-                        assert_eq!(
-                            got,
-                            u64::from(iters),
-                            "P{p}: slot {q} holds {got}, expected {iters} (lost store)"
-                        );
-                    }
-                }
-                Kernel::RotatingOwner => {
-                    for r in 0..iters {
-                        // Writer p owns slot (p + r) % procs this round —
-                        // a bijection, so every slot has exactly one writer.
-                        let mine = (p + r) % procs;
-                        dsm.store_u64(slot(mine), (u64::from(r) << 32) | u64::from(mine));
-                        dsm.compute(20);
-                        dsm.barrier(2 * r);
-                        let peer = (p + r + 1) % procs;
-                        let got = dsm.load_u64(slot(peer));
-                        assert_eq!(
-                            got,
-                            (u64::from(r) << 32) | u64::from(peer),
-                            "P{p} round {r}: slot {peer} holds {got:#x}"
-                        );
-                        dsm.barrier(2 * r + 1);
-                    }
-                }
-                Kernel::LockCounter => {
-                    for _ in 0..iters {
-                        dsm.acquire(0);
-                        let v = dsm.load_u64(slot(0));
-                        dsm.compute(10);
-                        dsm.store_u64(slot(0), v + 1);
-                        dsm.release(0);
-                    }
-                    dsm.barrier(u32::MAX);
-                    if p == 0 {
-                        let total = dsm.load_u64(slot(0));
-                        assert_eq!(
-                            total,
-                            u64::from(procs) * u64::from(iters),
-                            "lock counter lost increments"
-                        );
-                    }
-                }
-            }) as Box<dyn FnOnce(Dsm) + Send>
+            })
         })
         .collect()
 }

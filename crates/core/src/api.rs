@@ -6,10 +6,15 @@
 //! accesses (the paper's batching optimization), application locks and
 //! barriers, and `compute` to account for the work between accesses.
 //!
-//! Pure compute is accumulated locally and piggybacked on the next
-//! operation, so it costs no engine rendezvous.
+//! Each processor's program is an `async` body ([`Body`], usually built
+//! with [`body`]); every protocol-visible operation is an `async fn` that
+//! suspends the body until the engine replies. Pure compute is accumulated
+//! locally and piggybacked on the next operation, so it costs no engine
+//! round trip.
 
-use shasta_sim::FiberApi;
+use std::future::Future;
+
+use shasta_sim::{FiberApi, FiberFuture};
 
 use crate::space::Addr;
 
@@ -121,11 +126,35 @@ pub enum Resp {
     Unit,
 }
 
+/// One processor's program: given its [`Dsm`] handle, builds the body's
+/// future. See [`body`].
+pub type Body = Box<dyn FnOnce(Dsm) -> FiberFuture + Send>;
+
+/// Boxes an `async` processor program into a [`Body`].
+///
+/// ```
+/// use shasta_core::api::{body, Dsm};
+///
+/// let program = body(|mut dsm: Dsm| async move {
+///     dsm.store_u64(0, 1).await;
+///     dsm.barrier(0).await;
+/// });
+/// # drop(program);
+/// ```
+pub fn body<F, Fut>(f: F) -> Body
+where
+    F: FnOnce(Dsm) -> Fut + Send + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    Box::new(move |dsm| Box::pin(f(dsm)))
+}
+
 /// The DSM handle held by each simulated processor's application code.
 ///
-/// All methods may suspend the calling fiber while the protocol services a
-/// miss; from the application's perspective they are simple blocking
-/// operations on a shared address space.
+/// Every operation except [`Dsm::compute`] is an `async fn` that suspends
+/// the calling body until the engine replies (at once on a hit, after the
+/// protocol services a miss); from the application's perspective they are
+/// simple operations on a shared address space, awaited one at a time.
 #[derive(Debug)]
 pub struct Dsm {
     api: FiberApi<Req, Resp>,
@@ -153,52 +182,53 @@ impl Dsm {
         std::mem::take(&mut self.pending_cycles)
     }
 
-    fn expect_value(&mut self, req: Req) -> u64 {
-        match self.api.call(req) {
+    async fn expect_value(&mut self, req: Req) -> u64 {
+        match self.api.call(req).await {
             Resp::Value(v) => v,
             other => panic!("engine returned {other:?} where a value was expected"),
         }
     }
 
-    fn expect_unit(&mut self, req: Req) {
-        match self.api.call(req) {
+    async fn expect_unit(&mut self, req: Req) {
+        match self.api.call(req).await {
             Resp::Unit => {}
             other => panic!("engine returned {other:?} where unit was expected"),
         }
     }
 
     /// Loads a `u32` from shared memory.
-    pub fn load_u32(&mut self, addr: Addr) -> u32 {
+    pub async fn load_u32(&mut self, addr: Addr) -> u32 {
         let pre_cycles = self.take_cycles();
-        self.expect_value(Req::Load { addr, size: 4, fp: false, pre_cycles }) as u32
+        self.expect_value(Req::Load { addr, size: 4, fp: false, pre_cycles }).await as u32
     }
 
     /// Loads a `u64` from shared memory.
-    pub fn load_u64(&mut self, addr: Addr) -> u64 {
+    pub async fn load_u64(&mut self, addr: Addr) -> u64 {
         let pre_cycles = self.take_cycles();
-        self.expect_value(Req::Load { addr, size: 8, fp: false, pre_cycles })
+        self.expect_value(Req::Load { addr, size: 8, fp: false, pre_cycles }).await
     }
 
     /// Loads an `f64` from shared memory (floating-point check cost).
-    pub fn load_f64(&mut self, addr: Addr) -> f64 {
+    pub async fn load_f64(&mut self, addr: Addr) -> f64 {
         let pre_cycles = self.take_cycles();
-        f64::from_bits(self.expect_value(Req::Load { addr, size: 8, fp: true, pre_cycles }))
+        f64::from_bits(self.expect_value(Req::Load { addr, size: 8, fp: true, pre_cycles }).await)
     }
 
     /// Stores a `u32` to shared memory.
-    pub fn store_u32(&mut self, addr: Addr, value: u32) {
+    pub async fn store_u32(&mut self, addr: Addr, value: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Store { addr, size: 4, value: value as u64, fp: false, pre_cycles });
+        self.expect_unit(Req::Store { addr, size: 4, value: value as u64, fp: false, pre_cycles })
+            .await;
     }
 
     /// Stores a `u64` to shared memory.
-    pub fn store_u64(&mut self, addr: Addr, value: u64) {
+    pub async fn store_u64(&mut self, addr: Addr, value: u64) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Store { addr, size: 8, value, fp: false, pre_cycles });
+        self.expect_unit(Req::Store { addr, size: 8, value, fp: false, pre_cycles }).await;
     }
 
     /// Stores an `f64` to shared memory.
-    pub fn store_f64(&mut self, addr: Addr, value: f64) {
+    pub async fn store_f64(&mut self, addr: Addr, value: f64) {
         let pre_cycles = self.take_cycles();
         self.expect_unit(Req::Store {
             addr,
@@ -206,71 +236,72 @@ impl Dsm {
             value: value.to_bits(),
             fp: true,
             pre_cycles,
-        });
+        })
+        .await;
     }
 
     /// Batched read of `len` bytes at `addr` (a Shasta batch: one check
     /// sequence covering the range, then unchecked accesses).
-    pub fn read_range(&mut self, addr: Addr, len: u64) -> Vec<u8> {
+    pub async fn read_range(&mut self, addr: Addr, len: u64) -> Vec<u8> {
         let pre_cycles = self.take_cycles();
-        match self.api.call(Req::ReadRange { addr, len, pre_cycles }) {
+        match self.api.call(Req::ReadRange { addr, len, pre_cycles }).await {
             Resp::Data(d) => d,
             other => panic!("engine returned {other:?} where data was expected"),
         }
     }
 
     /// Batched read of `n` consecutive `f64`s at `addr`.
-    pub fn read_f64s(&mut self, addr: Addr, n: usize) -> Vec<f64> {
-        let bytes = self.read_range(addr, (n * 8) as u64);
+    pub async fn read_f64s(&mut self, addr: Addr, n: usize) -> Vec<f64> {
+        let bytes = self.read_range(addr, (n * 8) as u64).await;
         bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
     }
 
     /// Batched write of `data` at `addr`.
-    pub fn write_range(&mut self, addr: Addr, data: &[u8]) {
+    pub async fn write_range(&mut self, addr: Addr, data: &[u8]) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::WriteRange { addr, data: data.to_vec(), pre_cycles });
+        self.expect_unit(Req::WriteRange { addr, data: data.to_vec(), pre_cycles }).await;
     }
 
     /// Batched write of consecutive `f64`s at `addr`.
-    pub fn write_f64s(&mut self, addr: Addr, values: &[f64]) {
+    pub async fn write_f64s(&mut self, addr: Addr, values: &[f64]) {
         let mut bytes = Vec::with_capacity(values.len() * 8);
         for v in values {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        self.write_range(addr, &bytes);
+        self.write_range(addr, &bytes).await;
     }
 
     /// Acquires application lock `lock`.
-    pub fn acquire(&mut self, lock: u32) {
+    pub async fn acquire(&mut self, lock: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Acquire { lock, pre_cycles });
+        self.expect_unit(Req::Acquire { lock, pre_cycles }).await;
     }
 
     /// Releases application lock `lock` (release consistency: waits for this
     /// node's outstanding stores from previous epochs first).
-    pub fn release(&mut self, lock: u32) {
+    pub async fn release(&mut self, lock: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Release { lock, pre_cycles });
+        self.expect_unit(Req::Release { lock, pre_cycles }).await;
     }
 
     /// Store fence: waits until all of this node's outstanding stores from
     /// previous epochs have completed (release semantics without a lock).
-    pub fn fence(&mut self) {
+    pub async fn fence(&mut self) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Fence { pre_cycles });
+        self.expect_unit(Req::Fence { pre_cycles }).await;
     }
 
     /// Waits at global barrier `id` until every processor arrives.
-    pub fn barrier(&mut self, id: u32) {
+    pub async fn barrier(&mut self, id: u32) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Barrier { id, pre_cycles });
+        self.expect_unit(Req::Barrier { id, pre_cycles }).await;
     }
 
     /// An explicit poll point: handles any pending incoming messages (a
     /// loop back-edge in the instrumented binary).
-    pub fn poll(&mut self) {
+    pub async fn poll(&mut self) {
         let pre_cycles = self.take_cycles();
-        self.expect_unit(Req::Poll { pre_cycles });
+        self.expect_unit(Req::Poll { pre_cycles }).await;
     }
 }
 
@@ -320,16 +351,16 @@ mod tests {
 
     #[test]
     fn typed_accessors_round_trip() {
-        let mut pool = FiberPool::spawn(1, |pid, api| {
+        let mut pool = FiberPool::spawn(1, |pid, api| async move {
             let mut dsm = Dsm::new(pid, api);
-            dsm.store_u32(0, 0xAABBCCDD);
-            assert_eq!(dsm.load_u32(0), 0xAABBCCDD);
-            dsm.store_f64(8, 3.25);
-            assert_eq!(dsm.load_f64(8), 3.25);
-            dsm.write_f64s(16, &[1.0, 2.0]);
-            assert_eq!(dsm.read_f64s(16, 2), vec![1.0, 2.0]);
-            dsm.write_range(32, &[1, 2, 3]);
-            assert_eq!(dsm.read_range(32, 3), vec![1, 2, 3]);
+            dsm.store_u32(0, 0xAABBCCDD).await;
+            assert_eq!(dsm.load_u32(0).await, 0xAABBCCDD);
+            dsm.store_f64(8, 3.25).await;
+            assert_eq!(dsm.load_f64(8).await, 3.25);
+            dsm.write_f64s(16, &[1.0, 2.0]).await;
+            assert_eq!(dsm.read_f64s(16, 2).await, vec![1.0, 2.0]);
+            dsm.write_range(32, &[1, 2, 3]).await;
+            assert_eq!(dsm.read_range(32, 3).await, vec![1, 2, 3]);
         });
         let mut mem = vec![0u8; 64];
         echo_engine(&mut pool, &mut mem);
@@ -338,12 +369,12 @@ mod tests {
 
     #[test]
     fn compute_piggybacks_on_next_request() {
-        let mut pool = FiberPool::spawn(1, |pid, api| {
+        let mut pool = FiberPool::spawn(1, |pid, api| async move {
             let mut dsm = Dsm::new(pid, api);
             dsm.compute(100);
             dsm.compute(23);
-            dsm.store_u32(0, 1); // carries 123 pre-cycles
-            dsm.store_u32(0, 2); // carries 0
+            dsm.store_u32(0, 1).await; // carries 123 pre-cycles
+            dsm.store_u32(0, 2).await; // carries 0
         });
         let first = pool.take_request(0).unwrap();
         assert_eq!(first.pre_cycles(), 123);
@@ -356,10 +387,10 @@ mod tests {
 
     #[test]
     fn proc_id_is_exposed() {
-        let mut pool = FiberPool::spawn(2, |pid, api| {
+        let mut pool = FiberPool::spawn(2, |pid, api| async move {
             let mut dsm = Dsm::new(pid, api);
             assert_eq!(dsm.proc_id(), pid);
-            dsm.poll();
+            dsm.poll().await;
         });
         for p in 0..2 {
             pool.take_request(p).unwrap();

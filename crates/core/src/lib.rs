@@ -31,6 +31,7 @@
 //!
 //! ```
 //! use shasta_cluster::{CostModel, Topology};
+//! use shasta_core::api::{body, Dsm};
 //! use shasta_core::protocol::{Machine, ProtocolConfig};
 //! use shasta_core::space::{BlockHint, HomeHint};
 //!
@@ -43,15 +44,15 @@
 //! let stats = m.run(
 //!     (0..4)
 //!         .map(|p| {
-//!             Box::new(move |mut dsm: shasta_core::api::Dsm| {
+//!             body(move |mut dsm: Dsm| async move {
 //!                 let addr = counters + 8 * p as u64;
 //!                 for _ in 0..100 {
-//!                     let v = dsm.load_u64(addr);
-//!                     dsm.store_u64(addr, v + 1);
+//!                     let v = dsm.load_u64(addr).await;
+//!                     dsm.store_u64(addr, v + 1).await;
 //!                     dsm.compute(50);
 //!                 }
-//!                 dsm.barrier(0);
-//!             }) as Box<dyn FnOnce(shasta_core::api::Dsm) + Send>
+//!                 dsm.barrier(0).await;
+//!             })
 //!         })
 //!         .collect(),
 //! );
@@ -68,7 +69,7 @@ pub mod protocol;
 pub mod space;
 pub mod state;
 
-pub use api::Dsm;
+pub use api::{body, Body, Dsm};
 pub use protocol::{BugInjection, Machine, Mode, ProtocolConfig, SetupCtx};
 // Fault-injection and heterogeneous-topology surface, re-exported so the
 // checker and benches need no direct dependency on the fabric crates.

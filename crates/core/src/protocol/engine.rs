@@ -16,7 +16,7 @@
 use shasta_sim::{FiberPool, Time};
 use shasta_stats::{MissKind, RunStats, TimeCat};
 
-use crate::api::{Dsm, Req, Resp};
+use crate::api::{Body, Dsm, Req, Resp};
 use crate::check::AccessKind;
 use crate::misstable::{MissEntry, ReqKind};
 use crate::protocol::config::Mode;
@@ -45,7 +45,7 @@ impl Machine {
     /// Panics on protocol deadlock (with diagnostics), on an application
     /// panic inside a fiber, or if `bodies.len()` differs from the
     /// processor count.
-    pub fn run(&mut self, bodies: Vec<Box<dyn FnOnce(Dsm) + Send>>) -> RunStats {
+    pub fn run(&mut self, bodies: Vec<Body>) -> RunStats {
         let n = self.topo.procs();
         assert_eq!(bodies.len() as u32, n, "need exactly one program per processor");
         if let Some(lookahead) = self.pdes_eligible() {
@@ -55,8 +55,7 @@ impl Machine {
             .into_iter()
             .enumerate()
             .map(|(p, body)| {
-                Box::new(move |api: shasta_sim::FiberApi<Req, Resp>| body(Dsm::new(p as u32, api)))
-                    as shasta_sim::FiberBody<Req, Resp>
+                Box::new(move |api| body(Dsm::new(p as u32, api))) as shasta_sim::FiberBody<_, _>
             })
             .collect();
         let mut pool = FiberPool::spawn_each(wrapped);

@@ -107,7 +107,7 @@ use shasta_memchan::{Envelope, PdesSendRecord, ShardNet, Transport};
 use shasta_sim::{FiberPool, Scheduler, Time, Trace, TraceEvent};
 use shasta_stats::RunStats;
 
-use crate::api::{Dsm, Req, Resp};
+use crate::api::{Body, Dsm, Req, Resp};
 use crate::directory::Directory;
 use crate::misstable::{EpochTracker, MissTable};
 use crate::protocol::engine::Action;
@@ -408,11 +408,7 @@ fn worker(mut execs: HashMap<usize, ShardExec>, rx: Receiver<Cmd>, tx: Sender<Re
 /// Runs `bodies` on the sharded engine. Only called from [`Machine::run`]
 /// after [`Machine::pdes_eligible`] approved; returns statistics
 /// bit-identical to what the serial loop would have produced.
-pub(crate) fn run_sharded(
-    m: &mut Machine,
-    bodies: Vec<Box<dyn FnOnce(Dsm) + Send>>,
-    lookahead: u64,
-) -> RunStats {
+pub(crate) fn run_sharded(m: &mut Machine, bodies: Vec<Body>, lookahead: u64) -> RunStats {
     let n = m.topo.procs() as usize;
     let shards = m.topo.phys_nodes() as usize;
     let workers = m.sim_threads.min(shards);
@@ -424,11 +420,7 @@ pub(crate) fn run_sharded(
         (0..shards).map(|_| (0..n).map(|_| None).collect()).collect();
     for (p, body) in bodies.into_iter().enumerate() {
         let s = usize::from(m.topo.phys_node_of(p as u32));
-        per_shard[s][p] =
-            Some(
-                Box::new(move |api: shasta_sim::FiberApi<Req, Resp>| body(Dsm::new(p as u32, api)))
-                    as shasta_sim::FiberBody<Req, Resp>,
-            );
+        per_shard[s][p] = Some(Box::new(move |api| body(Dsm::new(p as u32, api))));
     }
 
     let mut execs: Vec<Option<ShardExec>> = split_shards(m)
@@ -730,9 +722,10 @@ pub(crate) fn run_sharded(
         out.into_iter().map(|e| e.expect("every shard returned")).collect()
     });
 
-    // Join fibers (propagating any application panic), then merge the shard
-    // state back into the caller's machine so post-run accessors (stats,
-    // audits, memory inspection) see exactly the serial end state.
+    // Retire the fiber pools (`join` asserts every fiber finished), then
+    // merge the shard state back into the caller's machine so post-run
+    // accessors (stats, audits, memory inspection) see exactly the serial
+    // end state.
     for exec in &mut finished {
         let pool = std::mem::replace(&mut exec.pool, FiberPool::spawn_selected(Vec::new()));
         pool.join();

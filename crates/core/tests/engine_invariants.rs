@@ -1,19 +1,23 @@
 //! Engine-level accounting and causality invariants.
 
+use std::future::Future;
+
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_sim::SplitMix64;
 use shasta_stats::TimeCat;
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
-
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies<F, Fut>(n: u32, f: F) -> Vec<Body>
+where
+    F: FnOnce(u32, Dsm) -> Fut + Send + Clone + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
     (0..n)
         .map(|p| {
             let f = f.clone();
-            Box::new(move |mut dsm: Dsm| f(p, &mut dsm)) as Body
+            body(move |dsm| f(p, dsm))
         })
         .collect()
 }
@@ -26,26 +30,26 @@ fn breakdowns_account_every_cycle() {
     let topo = Topology::new(8, 4, 4).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 22);
     let a = m.setup(|s| s.malloc(2_048, BlockHint::Line, HomeHint::RoundRobin));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         let mut rng = SplitMix64::new(p as u64 + 5);
         for _ in 0..200 {
             let off = rng.below(256) * 8;
             match rng.below(4) {
                 0 => {
-                    let _ = dsm.load_u64(a + off);
+                    let _ = dsm.load_u64(a + off).await;
                 }
                 1 => {
-                    dsm.acquire((off % 7) as u32);
-                    dsm.store_u64(a + off, off);
-                    dsm.release((off % 7) as u32);
+                    dsm.acquire((off % 7) as u32).await;
+                    dsm.store_u64(a + off, off).await;
+                    dsm.release((off % 7) as u32).await;
                 }
                 2 => dsm.compute(137),
                 _ => {
-                    let _ = dsm.read_range(a + (off & !63), 64);
+                    let _ = dsm.read_range(a + (off & !63), 64).await;
                 }
             }
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
     }));
     // The longest processor's breakdown equals (or slightly exceeds, for
     // post-finish drain handling) the elapsed time; no category is ever
@@ -67,15 +71,15 @@ fn fence_semantics() {
     let topo = Topology::new(8, 4, 1).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::base(), 1 << 20);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         if p == 4 {
-            dsm.fence(); // no-op fence
-            dsm.store_u64(a, 9); // remote write miss, non-blocking
-            dsm.fence(); // must wait for the write to complete
-                         // After the fence the block is exclusively ours.
-            assert_eq!(dsm.load_u64(a), 9);
+            dsm.fence().await; // no-op fence
+            dsm.store_u64(a, 9).await; // remote write miss, non-blocking
+            dsm.fence().await; // must wait for the write to complete
+                               // After the fence the block is exclusively ours.
+            assert_eq!(dsm.load_u64(a).await, 9);
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
     }));
     // The store's full latency lands in the Write (release-wait) category
     // of P4.
@@ -89,16 +93,16 @@ fn poll_services_requests() {
     let topo = Topology::new(8, 4, 1).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::base(), 1 << 20);
     let a = m.setup(|s| s.malloc(512, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         if p == 0 {
             for _ in 0..2_000 {
                 dsm.compute(40);
-                dsm.poll();
+                dsm.poll().await;
             }
         } else {
             dsm.compute(500 * p as u64);
             for i in 0..8u64 {
-                let _ = dsm.load_u64(a + i * 64);
+                let _ = dsm.load_u64(a + i * 64).await;
             }
         }
     }));
@@ -114,13 +118,13 @@ fn merged_readers_observe_reply_latency() {
     let topo = Topology::new(8, 4, 4).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
-        dsm.barrier(0);
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
+        dsm.barrier(0).await;
         if p >= 4 {
             // Four simultaneous readers on node 1; one request, one reply.
-            assert_eq!(dsm.load_u64(a), 0);
+            assert_eq!(dsm.load_u64(a).await, 0);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     assert_eq!(stats.misses.total(), 1);
     assert!(stats.misses.merged >= 3);
@@ -145,21 +149,37 @@ fn determinism_across_modes() {
             let topo = Topology::new(8, 4, clustering).unwrap();
             let mut m = Machine::new(topo, CostModel::alpha_4100(), cfg, 1 << 22);
             let a = m.setup(|s| s.malloc(1_024, BlockHint::Line, HomeHint::RoundRobin));
-            m.run(bodies(8, move |p, dsm| {
+            m.run(bodies(8, move |p, mut dsm| async move {
                 let mut rng = SplitMix64::new(p as u64);
                 for _ in 0..120 {
                     let off = rng.below(128) * 8;
                     if rng.below(2) == 0 {
-                        let _ = dsm.load_u64(a + off);
+                        let _ = dsm.load_u64(a + off).await;
                     } else {
-                        dsm.acquire((off % 5) as u32);
-                        dsm.store_u64(a + off, off);
-                        dsm.release((off % 5) as u32);
+                        dsm.acquire((off % 5) as u32).await;
+                        dsm.store_u64(a + off, off).await;
+                        dsm.release((off % 5) as u32).await;
                     }
                 }
-                dsm.barrier(0);
+                dsm.barrier(0).await;
             }))
         };
         assert_eq!(run(), run(), "clustering {clustering}");
     }
+}
+
+/// Application bodies run inline on the thread that calls `Machine::run`,
+/// before and after every suspension: no OS thread per simulated processor.
+#[test]
+fn bodies_run_on_the_engine_thread() {
+    let topo = Topology::new(8, 4, 4).unwrap();
+    let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20);
+    let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
+    let engine = std::thread::current().id();
+    m.run(bodies(8, move |p, mut dsm| async move {
+        assert_eq!(std::thread::current().id(), engine);
+        dsm.store_u64(a + 8 * u64::from(p), 1).await;
+        dsm.barrier(0).await;
+        assert_eq!(std::thread::current().id(), engine);
+    }));
 }

@@ -2,18 +2,22 @@
 //! fewer misses for streaming access and more false sharing for interleaved
 //! writers — both directions verified here.
 
+use std::future::Future;
+
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
-
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies<F, Fut>(n: u32, f: F) -> Vec<Body>
+where
+    F: FnOnce(u32, Dsm) -> Fut + Send + Clone + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
     (0..n)
         .map(|p| {
             let f = f.clone();
-            Box::new(move |mut dsm: Dsm| f(p, &mut dsm)) as Body
+            body(move |dsm| f(p, dsm))
         })
         .collect()
 }
@@ -35,13 +39,13 @@ fn coarser_lines_halve_streaming_misses() {
             }
             a
         });
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             if p == 4 {
                 for i in 0..512 {
-                    assert_eq!(dsm.load_u64(a + i * 8), i);
+                    assert_eq!(dsm.load_u64(a + i * 8).await, i);
                 }
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
         }))
     };
     let fine = run(64);
@@ -58,18 +62,18 @@ fn coarser_lines_increase_false_sharing() {
     let run = |line: u64| {
         let mut m = machine(line);
         let a = m.setup(|s| s.malloc(128, BlockHint::Line, HomeHint::Explicit(0)));
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             // P4 and P5 write to different 64-byte halves of the same
             // 128-byte region, alternating through barriers.
             for round in 0..20u32 {
                 if p == 4 {
-                    dsm.store_u64(a, round as u64);
+                    dsm.store_u64(a, round as u64).await;
                 }
-                dsm.barrier(2 * round);
+                dsm.barrier(2 * round).await;
                 if p == 5 {
-                    dsm.store_u64(a + 64, round as u64);
+                    dsm.store_u64(a + 64, round as u64).await;
                 }
-                dsm.barrier(2 * round + 1);
+                dsm.barrier(2 * round + 1).await;
             }
         }))
     };
@@ -91,22 +95,22 @@ fn results_identical_across_line_sizes() {
         let a = m.setup(|s| s.malloc(1_024, BlockHint::Line, HomeHint::RoundRobin));
         let total = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let t2 = std::sync::Arc::clone(&total);
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             for i in 0..16u64 {
-                dsm.acquire((i % 4) as u32);
-                let v = dsm.load_u64(a + i * 64);
-                dsm.store_u64(a + i * 64, v + p as u64 + 1);
-                dsm.release((i % 4) as u32);
+                dsm.acquire((i % 4) as u32).await;
+                let v = dsm.load_u64(a + i * 64).await;
+                dsm.store_u64(a + i * 64, v + p as u64 + 1).await;
+                dsm.release((i % 4) as u32).await;
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
             if p == 0 {
                 let mut sum = 0;
                 for i in 0..16u64 {
-                    sum += dsm.load_u64(a + i * 64);
+                    sum += dsm.load_u64(a + i * 64).await;
                 }
                 t2.store(sum, std::sync::atomic::Ordering::Relaxed);
             }
-            dsm.barrier(1);
+            dsm.barrier(1).await;
         }));
         total.load(std::sync::atomic::Ordering::Relaxed)
     };

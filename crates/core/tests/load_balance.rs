@@ -3,23 +3,27 @@
 //! whichever processor of the home's node handles them first, using the
 //! (necessarily shared) directory state.
 
+use std::future::Future;
+
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_sim::SplitMix64;
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 fn lb_config() -> ProtocolConfig {
     ProtocolConfig { load_balance_incoming: true, ..ProtocolConfig::smp() }
 }
 
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies<F, Fut>(n: u32, f: F) -> Vec<Body>
+where
+    F: FnOnce(u32, Dsm) -> Fut + Send + Clone + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
     (0..n)
         .map(|p| {
             let f = f.clone();
-            Box::new(move |mut dsm: Dsm| f(p, &mut dsm)) as Body
+            body(move |dsm| f(p, dsm))
         })
         .collect()
 }
@@ -33,23 +37,23 @@ fn busy_home_gets_relieved_by_a_sibling() {
     let topo = Topology::new(12, 4, 4).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), lb_config(), 1 << 20);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(12, move |p, dsm| {
+    let stats = m.run(bodies(12, move |p, mut dsm| async move {
         // Warm phase: P8 (node 2) reads, so node 0's copy becomes shared.
         if p == 8 {
-            assert_eq!(dsm.load_u64(a), 0);
+            assert_eq!(dsm.load_u64(a).await, 0);
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         match p {
             0 => {
                 // The home crunches without polling for a long time.
                 dsm.compute(2_000_000);
-                dsm.poll();
+                dsm.poll().await;
             }
             1..=3 => {
                 // Node mates poll like protocol-idle processors.
                 for _ in 0..4_000 {
                     dsm.compute(50);
-                    dsm.poll();
+                    dsm.poll().await;
                 }
             }
             4 => {
@@ -57,7 +61,7 @@ fn busy_home_gets_relieved_by_a_sibling() {
                 // Without load balancing, this read would wait ~6.6 ms of
                 // simulated time for P0's next poll; a sibling of the home
                 // serves it from the node's shared copy instead.
-                assert_eq!(dsm.load_u64(a), 0);
+                assert_eq!(dsm.load_u64(a).await, 0);
             }
             _ => {}
         }
@@ -73,22 +77,24 @@ fn without_load_balancing_the_request_waits() {
     let topo = Topology::new(8, 4, 4).unwrap();
     let mut m = Machine::new(topo, CostModel::alpha_4100(), ProtocolConfig::smp(), 1 << 20);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| match p {
-        0 => {
-            dsm.compute(2_000_000);
-            dsm.poll();
-        }
-        1..=3 => {
-            for _ in 0..4_000 {
-                dsm.compute(50);
-                dsm.poll();
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
+        match p {
+            0 => {
+                dsm.compute(2_000_000);
+                dsm.poll().await;
             }
+            1..=3 => {
+                for _ in 0..4_000 {
+                    dsm.compute(50);
+                    dsm.poll().await;
+                }
+            }
+            4 => {
+                dsm.compute(1_000);
+                assert_eq!(dsm.load_u64(a).await, 0);
+            }
+            _ => {}
         }
-        4 => {
-            dsm.compute(1_000);
-            assert_eq!(dsm.load_u64(a), 0);
-        }
-        _ => {}
     }));
     assert_eq!(stats.load_balanced_requests, 0);
     let us = stats.mean_read_latency() / 300.0;
@@ -107,28 +113,29 @@ fn load_balancing_preserves_results() {
         let a = m.setup(|s| s.malloc(1_024, BlockHint::Line, HomeHint::RoundRobin));
         let out = std::sync::Arc::new(std::sync::Mutex::new(vec![0u64; 16]));
         let out2 = std::sync::Arc::clone(&out);
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             let mut rng = SplitMix64::new(p as u64 * 3 + 1);
             for _ in 0..150 {
                 let slot = rng.below(16);
                 let addr = a + slot * 64;
                 if rng.below(2) == 0 {
-                    dsm.acquire(slot as u32);
-                    let v = dsm.load_u64(addr);
-                    dsm.store_u64(addr, v + 1);
-                    dsm.release(slot as u32);
+                    dsm.acquire(slot as u32).await;
+                    let v = dsm.load_u64(addr).await;
+                    dsm.store_u64(addr, v + 1).await;
+                    dsm.release(slot as u32).await;
                 } else {
-                    let _ = dsm.load_u64(addr);
+                    let _ = dsm.load_u64(addr).await;
                 }
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
             if p == 3 {
-                let mut o = out2.lock().unwrap();
-                for (slot, v) in o.iter_mut().enumerate() {
-                    *v = dsm.load_u64(a + slot as u64 * 64);
+                let mut vals = Vec::with_capacity(16);
+                for slot in 0..16u64 {
+                    vals.push(dsm.load_u64(a + slot * 64).await);
                 }
+                *out2.lock().unwrap() = vals;
             }
-            dsm.barrier(1);
+            dsm.barrier(1).await;
         }));
         std::sync::Arc::try_unwrap(out).unwrap().into_inner().unwrap()
     };
@@ -147,11 +154,11 @@ fn load_balancing_implies_shared_directory_and_determinism() {
         let mut m = Machine::new(topo, CostModel::alpha_4100(), lb_config(), 1 << 20);
         assert!(m.config().share_directory, "implied by load balancing");
         let a = m.setup(|s| s.malloc(512, BlockHint::Line, HomeHint::RoundRobin));
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             for i in 0..20u64 {
-                dsm.store_u64(a + ((p as u64 * 20 + i) % 64) * 8, i);
+                dsm.store_u64(a + ((p as u64 * 20 + i) % 64) * 8, i).await;
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
         }))
     };
     assert_eq!(run(), run());

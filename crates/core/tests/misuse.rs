@@ -2,11 +2,9 @@
 //! corrupting the simulation.
 
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 fn machine() -> Machine {
     let topo = Topology::new(4, 4, 4).unwrap();
@@ -20,12 +18,12 @@ fn access_to_unallocated_memory_panics() {
     m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..4u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 if p == 0 {
                     // Way past the single allocation.
-                    let _ = dsm.load_u64(0x9000);
+                    let _ = dsm.load_u64(0x9000).await;
                 }
-            }) as Body
+            })
         })
         .collect();
     m.run(bodies);
@@ -38,11 +36,11 @@ fn releasing_an_unheld_lock_panics() {
     m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..4u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 if p == 1 {
-                    dsm.release(3);
+                    dsm.release(3).await;
                 }
-            }) as Body
+            })
         })
         .collect();
     m.run(bodies);
@@ -52,7 +50,7 @@ fn releasing_an_unheld_lock_panics() {
 #[should_panic(expected = "one program per processor")]
 fn wrong_body_count_panics() {
     let mut m = machine();
-    m.run(vec![Box::new(|_dsm: Dsm| {}) as Body]);
+    m.run(vec![body(|_dsm| async {})]);
 }
 
 #[test]
@@ -62,13 +60,13 @@ fn application_panics_propagate_to_the_caller() {
     m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..4u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 dsm.compute(10);
-                dsm.poll();
+                dsm.poll().await;
                 if p == 2 {
                     panic!("application panic propagates");
                 }
-            }) as Body
+            })
         })
         .collect();
     m.run(bodies);

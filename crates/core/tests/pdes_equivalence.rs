@@ -4,21 +4,25 @@
 //! machine is eligible. Breadth over scenarios, policies, and cluster
 //! shapes lives in `crates/check/tests/parallel_engine_equivalence.rs`.
 
+use std::future::Future;
+
 use shasta_cluster::{CostModel, NetProfile, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, Mode, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_obs::Registry;
 use shasta_sim::SplitMix64;
 use shasta_stats::{MetricValue, RunStats};
 
-type Body = Box<dyn FnOnce(Dsm) + Send>;
-
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies<F, Fut>(n: u32, f: F) -> Vec<Body>
+where
+    F: FnOnce(u32, Dsm) -> Fut + Send + Clone + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
     (0..n)
         .map(|p| {
             let f = f.clone();
-            Box::new(move |mut dsm: Dsm| f(p, &mut dsm)) as Body
+            body(move |dsm| f(p, dsm))
         })
         .collect()
 }
@@ -28,34 +32,34 @@ fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> 
 /// barriers, and compute.
 fn mixed_kernel(m: &mut Machine, n: u32, rounds: u32) -> Vec<Body> {
     let a = m.setup(|s| s.malloc(4_096, BlockHint::Line, HomeHint::RoundRobin));
-    bodies(n, move |p, dsm| {
+    bodies(n, move |p, mut dsm| async move {
         let mut rng = SplitMix64::new(p as u64 + 11);
         for r in 0..rounds {
             let off = rng.below(256) * 8;
             match rng.below(5) {
                 0 => {
-                    let _ = dsm.load_u64(a + off);
+                    let _ = dsm.load_u64(a + off).await;
                 }
                 1 => {
                     let l = (off % 5) as u32;
-                    dsm.acquire(l);
-                    let v = dsm.load_u64(a + off);
-                    dsm.store_u64(a + off, v + 1);
-                    dsm.release(l);
+                    dsm.acquire(l).await;
+                    let v = dsm.load_u64(a + off).await;
+                    dsm.store_u64(a + off, v + 1).await;
+                    dsm.release(l).await;
                 }
                 2 => dsm.compute(97),
                 3 => {
-                    let _ = dsm.read_range(a + (off & !63), 64);
+                    let _ = dsm.read_range(a + (off & !63), 64).await;
                 }
                 _ => {
-                    dsm.store_u64(a + 8 * (p as u64) + 2_048, u64::from(r));
+                    dsm.store_u64(a + 8 * (p as u64) + 2_048, u64::from(r)).await;
                 }
             }
             if r % 8 == 7 {
-                dsm.barrier(0);
+                dsm.barrier(0).await;
             }
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
     })
 }
 

@@ -1,15 +1,15 @@
 //! End-to-end protocol tests: Base-Shasta and SMP-Shasta over the simulated
 //! cluster, exercising every transaction shape the paper describes.
 
+use std::future::Future;
+
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{Addr, BlockHint, HomeHint};
 use shasta_core::state::INVALID_FLAG;
 use shasta_sim::SplitMix64;
 use shasta_stats::{Hops, MissKind, MsgClass, RunStats};
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 fn machine(procs: u32, per_node: u32, clustering: u32, cfg: ProtocolConfig) -> Machine {
     let topo = Topology::new(procs, per_node, clustering).unwrap();
@@ -18,11 +18,15 @@ fn machine(procs: u32, per_node: u32, clustering: u32, cfg: ProtocolConfig) -> M
     m
 }
 
-fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies<F, Fut>(n: u32, f: F) -> Vec<Body>
+where
+    F: FnOnce(u32, Dsm) -> Fut + Send + Clone + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
     (0..n)
         .map(|p| {
             let f = f.clone();
-            Box::new(move |mut dsm: Dsm| f(p, &mut dsm)) as Body
+            body(move |dsm| f(p, dsm))
         })
         .collect()
 }
@@ -32,15 +36,15 @@ fn bodies(n: u32, f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> 
 fn base_producer_consumer_across_nodes() {
     let mut m = machine(8, 4, 1, ProtocolConfig::base());
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         if p == 0 {
-            dsm.store_u64(a, 0xFEED_F00D);
+            dsm.store_u64(a, 0xFEED_F00D).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 4 {
-            assert_eq!(dsm.load_u64(a), 0xFEED_F00D);
+            assert_eq!(dsm.load_u64(a).await, 0xFEED_F00D);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     // P4's read was a software miss over the Memory Channel.
     assert!(stats.misses.get(MissKind::Read, Hops::Two) >= 1);
@@ -57,16 +61,16 @@ fn remote_and_local_fetch_latency_calibration() {
     let measure = |requester: u32| -> f64 {
         let mut m = machine(8, 4, 1, ProtocolConfig::base());
         let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-        let stats = m.run(bodies(8, move |p, dsm| {
+        let stats = m.run(bodies(8, move |p, mut dsm| async move {
             if p == 0 {
                 // The home services the request from its poll loop.
                 for _ in 0..400 {
                     dsm.compute(30);
-                    dsm.poll();
+                    dsm.poll().await;
                 }
             } else if p == requester {
                 dsm.compute(500); // let the home enter its poll loop
-                let _ = dsm.load_u64(a);
+                let _ = dsm.load_u64(a).await;
             }
         }));
         stats.mean_read_latency() / 300.0
@@ -86,16 +90,16 @@ fn remote_and_local_fetch_latency_calibration() {
 fn smp_clustering_eliminates_sibling_misses() {
     let mut m = machine(8, 4, 4, ProtocolConfig::smp());
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         if p == 4 {
-            assert_eq!(dsm.load_u64(a), 0);
+            assert_eq!(dsm.load_u64(a).await, 0);
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p >= 5 {
             // Node mates of P4: the block is already on node 1.
-            assert_eq!(dsm.load_u64(a), 0);
+            assert_eq!(dsm.load_u64(a).await, 0);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     // Exactly one read miss crossed the network for the block.
     assert_eq!(stats.misses.get(MissKind::Read, Hops::Two), 1);
@@ -108,25 +112,25 @@ fn smp_clustering_eliminates_sibling_misses() {
 fn downgrade_messages_are_selective() {
     let mut m = machine(8, 4, 4, ProtocolConfig::smp());
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         // P0 and P1 (node 0) both store: both privates become exclusive in
         // turn (P1's store goes through a private upgrade).
         if p == 0 {
-            dsm.store_u64(a, 1);
+            dsm.store_u64(a, 1).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 1 {
-            dsm.store_u64(a, 2);
+            dsm.store_u64(a, 2).await;
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
         // A remote processor reads: node 0 must downgrade to shared. Only
         // P0 and P1 ever accessed the block; P2, P3 get no messages. The
         // handler runs at the home (P0), which downgrades itself silently,
         // so exactly one downgrade message (to P1) is sent.
         if p == 4 {
-            assert_eq!(dsm.load_u64(a), 2);
+            assert_eq!(dsm.load_u64(a).await, 2);
         }
-        dsm.barrier(2);
+        dsm.barrier(2).await;
     }));
     assert_eq!(stats.messages.count(MsgClass::Downgrade), 1);
     assert_eq!(stats.downgrades.count(1), 1);
@@ -138,15 +142,15 @@ fn broadcast_downgrades_message_all_node_mates() {
     let cfg = ProtocolConfig { selective_downgrades: false, ..ProtocolConfig::smp() };
     let mut m = machine(8, 4, 4, cfg);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         if p == 0 {
-            dsm.store_u64(a, 1);
+            dsm.store_u64(a, 1).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 4 {
-            assert_eq!(dsm.load_u64(a), 1);
+            assert_eq!(dsm.load_u64(a).await, 1);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     // All three of P0's node mates get shot down regardless of access.
     assert_eq!(stats.messages.count(MsgClass::Downgrade), 3);
@@ -166,15 +170,15 @@ fn locked_counter_is_exact() {
         let mut m = machine(8, 4, clustering, cfg);
         let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::RoundRobin));
         let iters = 25u64;
-        let stats = m.run(bodies(8, move |_, dsm| {
+        let stats = m.run(bodies(8, move |_, mut dsm| async move {
             for _ in 0..iters {
-                dsm.acquire(7);
-                let v = dsm.load_u64(a);
+                dsm.acquire(7).await;
+                let v = dsm.load_u64(a).await;
                 dsm.compute(20);
-                dsm.store_u64(a, v + 1);
-                dsm.release(7);
+                dsm.store_u64(a, v + 1).await;
+                dsm.release(7).await;
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
         }));
         let mut m2 = machine(8, 4, clustering, ProtocolConfig::smp());
         let _ = (&mut m2, stats);
@@ -193,18 +197,18 @@ fn locked_counter_value_checked_in_program() {
         let mut m = machine(8, 4, clustering, ProtocolConfig::smp());
         let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::RoundRobin));
         let iters = 25u64;
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             for _ in 0..iters {
-                dsm.acquire(3);
-                let v = dsm.load_u64(a);
-                dsm.store_u64(a, v + 1);
-                dsm.release(3);
+                dsm.acquire(3).await;
+                let v = dsm.load_u64(a).await;
+                dsm.store_u64(a, v + 1).await;
+                dsm.release(3).await;
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
             if p == 5 {
-                assert_eq!(dsm.load_u64(a), 8 * iters, "clustering {clustering}");
+                assert_eq!(dsm.load_u64(a).await, 8 * iters, "clustering {clustering}");
             }
-            dsm.barrier(1);
+            dsm.barrier(1).await;
         }));
     }
 }
@@ -214,13 +218,13 @@ fn locked_counter_value_checked_in_program() {
 fn upgrade_requests_skip_data_transfer() {
     let mut m = machine(8, 4, 1, ProtocolConfig::base());
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         if p == 4 {
-            let v = dsm.load_u64(a); // read miss: now shared
-            dsm.store_u64(a, v + 1); // upgrade miss
-            dsm.fence(); // ensure the store completes
+            let v = dsm.load_u64(a).await; // read miss: now shared
+            dsm.store_u64(a, v + 1).await; // upgrade miss
+            dsm.fence().await; // ensure the store completes
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
     }));
     assert_eq!(stats.misses.get(MissKind::Upgrade, Hops::Two), 1);
     assert_eq!(
@@ -236,15 +240,15 @@ fn three_hop_read_through_owner() {
     let mut m = machine(12, 4, 1, ProtocolConfig::base());
     // Home is P0; P4 takes exclusive ownership; P8 then reads.
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(12, move |p, dsm| {
+    let stats = m.run(bodies(12, move |p, mut dsm| async move {
         if p == 4 {
-            dsm.store_u64(a, 77);
+            dsm.store_u64(a, 77).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 8 {
-            assert_eq!(dsm.load_u64(a), 77);
+            assert_eq!(dsm.load_u64(a).await, 77);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     assert_eq!(stats.misses.get(MissKind::Read, Hops::Three), 1);
 }
@@ -255,13 +259,13 @@ fn three_hop_read_through_owner() {
 fn sibling_requests_merge() {
     let mut m = machine(8, 4, 4, ProtocolConfig::smp());
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(8, move |p, dsm| {
-        dsm.barrier(0);
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
+        dsm.barrier(0).await;
         if p >= 4 {
             // All four processors of node 1 read "simultaneously".
-            assert_eq!(dsm.load_u64(a), 0);
+            assert_eq!(dsm.load_u64(a).await, 0);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     assert_eq!(
         stats.misses.get(MissKind::Read, Hops::Two) + stats.misses.get(MissKind::Read, Hops::Three),
@@ -281,12 +285,12 @@ fn false_miss_on_flag_valued_data() {
         s.write_u32(a, INVALID_FLAG);
         a
     });
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         if p == 4 {
-            let _ = dsm.load_u32(a); // real miss: fetches the block
-            assert_eq!(dsm.load_u32(a), INVALID_FLAG); // false miss
+            let _ = dsm.load_u32(a).await; // real miss: fetches the block
+            assert_eq!(dsm.load_u32(a).await, INVALID_FLAG); // false miss
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
     }));
     assert!(stats.misses.false_misses >= 1);
 }
@@ -296,19 +300,19 @@ fn false_miss_on_flag_valued_data() {
 fn range_ops_across_blocks() {
     let mut m = machine(8, 4, 4, ProtocolConfig::smp());
     let a = m.setup(|s| s.malloc(1024, BlockHint::Line, HomeHint::Explicit(0)));
-    m.run(bodies(8, move |p, dsm| {
+    m.run(bodies(8, move |p, mut dsm| async move {
         if p == 0 {
             let data: Vec<u8> = (0..=255).collect();
-            dsm.write_range(a, &data);
-            dsm.write_range(a + 256, &data);
+            dsm.write_range(a, &data).await;
+            dsm.write_range(a + 256, &data).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 7 {
-            let got = dsm.read_range(a, 512);
+            let got = dsm.read_range(a, 512).await;
             let want: Vec<u8> = (0..=255).chain(0..=255).collect();
             assert_eq!(got, want);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
 }
 
@@ -324,13 +328,13 @@ fn variable_granularity_reduces_misses() {
             }
             a
         });
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             if p == 4 {
                 for i in 0..256 {
-                    assert_eq!(dsm.load_u64(a + i * 8), i);
+                    assert_eq!(dsm.load_u64(a + i * 8).await, i);
                 }
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
         }))
     };
     let fine = run(BlockHint::Line);
@@ -346,20 +350,20 @@ fn variable_granularity_reduces_misses() {
 fn nonblocking_stores_complete_by_release() {
     let mut m = machine(8, 4, 1, ProtocolConfig::base());
     let a = m.setup(|s| s.malloc(512, BlockHint::Line, HomeHint::Explicit(0)));
-    m.run(bodies(8, move |p, dsm| {
+    m.run(bodies(8, move |p, mut dsm| async move {
         if p == 4 {
             for i in 0..8u64 {
-                dsm.store_u64(a + i * 64, i + 1); // 8 write misses, non-blocking
+                dsm.store_u64(a + i * 64, i + 1).await; // 8 write misses, non-blocking
             }
-            dsm.fence(); // waits for all of them
+            dsm.fence().await; // waits for all of them
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 0 {
             for i in 0..8u64 {
-                assert_eq!(dsm.load_u64(a + i * 64), i + 1);
+                assert_eq!(dsm.load_u64(a + i * 64).await, i + 1);
             }
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
 }
 
@@ -369,14 +373,14 @@ fn store_limit_throttles() {
     let cfg = ProtocolConfig { max_outstanding_stores: 2, ..ProtocolConfig::base() };
     let mut m = machine(8, 4, 1, cfg);
     let a = m.setup(|s| s.malloc(2048, BlockHint::Line, HomeHint::Explicit(0)));
-    m.run(bodies(8, move |p, dsm| {
+    m.run(bodies(8, move |p, mut dsm| async move {
         if p == 4 {
             for i in 0..32u64 {
-                dsm.store_u64(a + i * 64, i);
+                dsm.store_u64(a + i * 64, i).await;
             }
-            dsm.fence();
+            dsm.fence().await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
     }));
 }
 
@@ -386,18 +390,18 @@ fn blocking_stores_ablation() {
     let cfg = ProtocolConfig { nonblocking_stores: false, ..ProtocolConfig::smp() };
     let mut m = machine(8, 4, 4, cfg);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    m.run(bodies(8, move |p, dsm| {
+    m.run(bodies(8, move |p, mut dsm| async move {
         for _ in 0..10 {
-            dsm.acquire(1);
-            let v = dsm.load_u64(a);
-            dsm.store_u64(a, v + 1);
-            dsm.release(1);
+            dsm.acquire(1).await;
+            let v = dsm.load_u64(a).await;
+            dsm.store_u64(a, v + 1).await;
+            dsm.release(1).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 2 {
-            assert_eq!(dsm.load_u64(a), 80);
+            assert_eq!(dsm.load_u64(a).await, 80);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
 }
 
@@ -406,18 +410,18 @@ fn blocking_stores_ablation() {
 fn hardware_mode_counter() {
     let mut m = machine(4, 4, 4, ProtocolConfig::hardware());
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(4, move |p, dsm| {
+    let stats = m.run(bodies(4, move |p, mut dsm| async move {
         for _ in 0..50 {
-            dsm.acquire(0);
-            let v = dsm.load_u64(a);
-            dsm.store_u64(a, v + 1);
-            dsm.release(0);
+            dsm.acquire(0).await;
+            let v = dsm.load_u64(a).await;
+            dsm.store_u64(a, v + 1).await;
+            dsm.release(0).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 3 {
-            assert_eq!(dsm.load_u64(a), 200);
+            assert_eq!(dsm.load_u64(a).await, 200);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     assert_eq!(stats.misses.total(), 0);
     assert_eq!(stats.messages.total(), 0);
@@ -429,20 +433,20 @@ fn runs_are_deterministic() {
     let run = || {
         let mut m = machine(8, 4, 4, ProtocolConfig::smp());
         let a = m.setup(|s| s.malloc(4096, BlockHint::Line, HomeHint::RoundRobin));
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             let mut rng = SplitMix64::new(p as u64 + 1);
             for _ in 0..200 {
                 let off = rng.below(512) * 8;
                 if rng.below(2) == 0 {
-                    let _ = dsm.load_u64(a + off);
+                    let _ = dsm.load_u64(a + off).await;
                 } else {
-                    dsm.acquire((off % 13) as u32);
-                    dsm.store_u64(a + off, off);
-                    dsm.release((off % 13) as u32);
+                    dsm.acquire((off % 13) as u32).await;
+                    dsm.store_u64(a + off, off).await;
+                    dsm.release((off % 13) as u32).await;
                 }
                 dsm.compute(30);
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
         }))
     };
     let s1 = run();
@@ -461,17 +465,17 @@ fn racy_program_keeps_protocol_coherent() {
         let a = m.setup(|s| s.malloc(1024, BlockHint::Line, HomeHint::RoundRobin));
         // The post-run audit (single owner, matching copies) runs inside
         // Machine::run and panics on any incoherence.
-        m.run(bodies(8, move |p, dsm| {
+        m.run(bodies(8, move |p, mut dsm| async move {
             let mut rng = SplitMix64::new(p as u64 * 77 + 13);
             for _ in 0..300 {
                 let off = rng.below(128) * 8;
                 if rng.below(3) == 0 {
-                    dsm.store_u64(a + off, (p as u64) << 32 | off);
+                    dsm.store_u64(a + off, (p as u64) << 32 | off).await;
                 } else {
-                    let _ = dsm.load_u64(a + off);
+                    let _ = dsm.load_u64(a + off).await;
                 }
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
         }));
     }
 }
@@ -482,18 +486,18 @@ fn racy_program_keeps_protocol_coherent() {
 fn migratory_data_moves_between_nodes() {
     let mut m = machine(16, 4, 4, ProtocolConfig::smp());
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::RoundRobin));
-    let stats = m.run(bodies(16, move |p, dsm| {
+    let stats = m.run(bodies(16, move |p, mut dsm| async move {
         for _ in 0..5 {
-            dsm.acquire(9);
-            let v = dsm.load_u64(a);
-            dsm.store_u64(a, v + 1);
-            dsm.release(9);
+            dsm.acquire(9).await;
+            let v = dsm.load_u64(a).await;
+            dsm.store_u64(a, v + 1).await;
+            dsm.release(9).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 11 {
-            assert_eq!(dsm.load_u64(a), 80);
+            assert_eq!(dsm.load_u64(a).await, 80);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     // Migratory data across 4 nodes: downgrades must have occurred.
     assert!(stats.downgrades.total() > 0);
@@ -506,17 +510,17 @@ fn migratory_data_moves_between_nodes() {
 fn breakdown_accounts_for_all_cycles() {
     let mut m = machine(8, 4, 4, ProtocolConfig::smp());
     let a = m.setup(|s| s.malloc(1024, BlockHint::Line, HomeHint::RoundRobin));
-    let stats = m.run(bodies(8, move |p, dsm| {
+    let stats = m.run(bodies(8, move |p, mut dsm| async move {
         let mut rng = SplitMix64::new(p as u64);
         for _ in 0..100 {
             let off = rng.below(128) * 8;
-            dsm.acquire((off % 5) as u32);
-            let v = dsm.load_u64(a + off);
-            dsm.store_u64(a + off, v + 1);
-            dsm.release((off % 5) as u32);
+            dsm.acquire((off % 5) as u32).await;
+            let v = dsm.load_u64(a + off).await;
+            dsm.store_u64(a + off, v + 1).await;
+            dsm.release((off % 5) as u32).await;
             dsm.compute(25);
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
     }));
     // Every processor's breakdown sums to at most its clock, and the
     // elapsed time equals the maximum total.
@@ -533,17 +537,17 @@ fn bulk_write_then_remote_bulk_read() {
     let mut m = machine(8, 4, 4, ProtocolConfig::smp());
     let n = 4096u64;
     let a = m.setup(|s| s.malloc(n, BlockHint::Line, HomeHint::Explicit(0)));
-    m.run(bodies(8, move |p, dsm| {
+    m.run(bodies(8, move |p, mut dsm| async move {
         if p == 4 {
             let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
-            dsm.write_range(a, &data);
+            dsm.write_range(a, &data).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 0 {
-            let got = dsm.read_range(a, n);
+            let got = dsm.read_range(a, n).await;
             assert!(got.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
 }
 
@@ -558,18 +562,18 @@ fn mixed_granularity_allocations() {
         let fine = s.malloc(8192, BlockHint::Line, HomeHint::RoundRobin);
         (small, big, fine)
     });
-    m.run(bodies(8, move |p, dsm| {
+    m.run(bodies(8, move |p, mut dsm| async move {
         if p == 0 {
-            dsm.store_u32(small, 1);
-            dsm.store_u64(big, 2);
-            dsm.store_u64(fine + 4096, 3);
+            dsm.store_u32(small, 1).await;
+            dsm.store_u64(big, 2).await;
+            dsm.store_u64(fine + 4096, 3).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 6 {
-            assert_eq!(dsm.load_u32(small), 1);
-            assert_eq!(dsm.load_u64(big), 2);
-            assert_eq!(dsm.load_u64(fine + 4096), 3);
+            assert_eq!(dsm.load_u32(small).await, 1);
+            assert_eq!(dsm.load_u64(big).await, 2);
+            assert_eq!(dsm.load_u64(fine + 4096).await, 3);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
 }

@@ -2,14 +2,14 @@
 //! a requester colocated with the home looks up and modifies directory
 //! state directly, eliminating the intra-node request hop.
 
+use std::future::Future;
+
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
 use shasta_sim::SplitMix64;
 use shasta_stats::MsgClass;
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 fn machine(share: bool) -> Machine {
     let topo = Topology::new(8, 4, 4).unwrap();
@@ -19,11 +19,15 @@ fn machine(share: bool) -> Machine {
     m
 }
 
-fn bodies(f: impl Fn(u32, &mut Dsm) + Send + Sync + Clone + 'static) -> Vec<Body> {
+fn bodies<F, Fut>(f: F) -> Vec<Body>
+where
+    F: FnOnce(u32, Dsm) -> Fut + Send + Clone + 'static,
+    Fut: Future<Output = ()> + Send + 'static,
+{
     (0..8u32)
         .map(|p| {
             let f = f.clone();
-            Box::new(move |mut dsm: Dsm| f(p, &mut dsm)) as Body
+            body(move |dsm| f(p, dsm))
         })
         .collect()
 }
@@ -37,20 +41,20 @@ fn colocated_requests_skip_the_message() {
         let mut m = machine(share);
         let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
 
-        m.run(bodies(move |p, dsm| {
+        m.run(bodies(move |p, mut dsm| async move {
             if p == 4 {
-                dsm.store_u64(a, 44);
+                dsm.store_u64(a, 44).await;
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
             if p == 1 {
-                dsm.store_u64(a, 11);
-                dsm.fence();
+                dsm.store_u64(a, 11).await;
+                dsm.fence().await;
             }
-            dsm.barrier(1);
+            dsm.barrier(1).await;
             if p == 7 {
-                assert_eq!(dsm.load_u64(a), 11);
+                assert_eq!(dsm.load_u64(a).await, 11);
             }
-            dsm.barrier(2);
+            dsm.barrier(2).await;
         }))
     };
     let without = run(false);
@@ -75,28 +79,29 @@ fn shared_directory_preserves_results() {
         let a = m.setup(|s| s.malloc(1024, BlockHint::Line, HomeHint::RoundRobin));
         let out = std::sync::Arc::new(std::sync::Mutex::new(vec![0u64; 16]));
         let out2 = std::sync::Arc::clone(&out);
-        m.run(bodies(move |p, dsm| {
+        m.run(bodies(move |p, mut dsm| async move {
             let mut rng = SplitMix64::new(p as u64 + 99);
             for _ in 0..150 {
                 let slot = rng.below(16);
                 let addr = a + slot * 64;
                 if rng.below(3) == 0 {
-                    dsm.acquire(slot as u32);
-                    let v = dsm.load_u64(addr);
-                    dsm.store_u64(addr, v + 1);
-                    dsm.release(slot as u32);
+                    dsm.acquire(slot as u32).await;
+                    let v = dsm.load_u64(addr).await;
+                    dsm.store_u64(addr, v + 1).await;
+                    dsm.release(slot as u32).await;
                 } else {
-                    let _ = dsm.load_u64(addr);
+                    let _ = dsm.load_u64(addr).await;
                 }
             }
-            dsm.barrier(0);
+            dsm.barrier(0).await;
             if p == 0 {
-                let mut o = out2.lock().unwrap();
-                for (slot, v) in o.iter_mut().enumerate() {
-                    *v = dsm.load_u64(a + slot as u64 * 64);
+                let mut vals = Vec::with_capacity(16);
+                for slot in 0..16u64 {
+                    vals.push(dsm.load_u64(a + slot * 64).await);
                 }
+                *out2.lock().unwrap() = vals;
             }
-            dsm.barrier(1);
+            dsm.barrier(1).await;
         }));
         std::sync::Arc::try_unwrap(out).unwrap().into_inner().unwrap()
     };
@@ -113,17 +118,17 @@ fn shared_directory_preserves_results() {
 fn shared_directory_hop_classification() {
     let mut m = machine(true);
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
-    let stats = m.run(bodies(move |p, dsm| {
+    let stats = m.run(bodies(move |p, mut dsm| async move {
         // P4 takes the block; P1 (home's node) reads it back: a 3-hop-shaped
         // transaction whose first hop was a direct directory lookup.
         if p == 4 {
-            dsm.store_u64(a, 5);
+            dsm.store_u64(a, 5).await;
         }
-        dsm.barrier(0);
+        dsm.barrier(0).await;
         if p == 1 {
-            assert_eq!(dsm.load_u64(a), 5);
+            assert_eq!(dsm.load_u64(a).await, 5);
         }
-        dsm.barrier(1);
+        dsm.barrier(1).await;
     }));
     assert!(stats.shared_dir_lookups >= 1);
     assert!(stats.misses.total() >= 2);

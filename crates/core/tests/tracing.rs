@@ -2,11 +2,9 @@
 //! enabled and the tail renders usefully for diagnostics.
 
 use shasta_cluster::{CostModel, Topology};
-use shasta_core::api::Dsm;
+use shasta_core::api::{body, Body, Dsm};
 use shasta_core::protocol::{Machine, ProtocolConfig};
 use shasta_core::space::{BlockHint, HomeHint};
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 fn run(trace_cap: Option<usize>) -> shasta_stats::RunStats {
     let topo = Topology::new(8, 4, 4).unwrap();
@@ -17,16 +15,16 @@ fn run(trace_cap: Option<usize>) -> shasta_stats::RunStats {
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..8u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 if p == 0 {
-                    dsm.store_u64(a, 7);
+                    dsm.store_u64(a, 7).await;
                 }
-                dsm.barrier(0);
+                dsm.barrier(0).await;
                 if p == 4 {
-                    assert_eq!(dsm.load_u64(a), 7);
+                    assert_eq!(dsm.load_u64(a).await, 7);
                 }
-                dsm.barrier(1);
-            }) as Body
+                dsm.barrier(1).await;
+            })
         })
         .collect();
     m.run(bodies)

@@ -1,36 +1,51 @@
-//! The fiber rendezvous: application threads that suspend at every
-//! protocol-visible operation.
+//! Application fibers: suspendable processor programs polled inline by the
+//! engine.
 //!
-//! Each simulated processor is an OS thread running ordinary Rust code. When
-//! it performs a DSM operation it calls [`FiberApi::call`], which hands the
-//! request to the engine thread and blocks until the engine replies. The
-//! engine holds every live fiber's *pending request* (see
-//! [`FiberPool::peek_request`]), so it can always pick the globally earliest
-//! action; between a fiber's operations only that fiber's private data is
-//! touched, so the host-parallel execution of application code cannot
-//! introduce nondeterminism.
+//! Each simulated processor's program is an ordinary Rust `async` body. When
+//! it performs a DSM operation it awaits [`FiberApi::call`], which parks the
+//! request in the fiber's mailbox and suspends the body. The pool polls each
+//! body on the caller's own thread (the engine thread, or a PDES shard
+//! thread) with a no-op waker: the engine decides who runs next, so nothing
+//! ever needs waking. The engine holds every live fiber's *pending request*
+//! (see [`FiberPool::peek_request`]), so it can always pick the globally
+//! earliest action; between a fiber's operations only that fiber's private
+//! data is touched, so application code cannot introduce nondeterminism.
 //!
-//! Deadlock discipline: application code must never block on anything except
-//! `call` — all inter-processor communication goes through the simulated
-//! protocol.
+//! Deadlock discipline: a body must never block except by awaiting a call on
+//! its own [`FiberApi`] — all inter-processor communication goes through the
+//! simulated protocol. A body that blocks the thread any other way (a lock,
+//! a channel receive, a sleep) stalls the engine itself, and a body that
+//! suspends on any other future is reported as a bug by the pool.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::JoinHandle;
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::{Context, Poll, Waker};
 
-/// A boxed fiber body, used by [`FiberPool::spawn_each`].
-pub type FiberBody<Req, Resp> = Box<dyn FnOnce(FiberApi<Req, Resp>) + Send>;
+/// A fiber's program once started: a boxed future polled by the pool.
+pub type FiberFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
-/// Bounded spin budget before falling back to a blocking receive in
-/// [`FiberPool::spawn_each`]'s rendezvous (see `refill`).
-const SPIN_ITERS: u32 = 200;
+/// A boxed fiber body, used by [`FiberPool::spawn_each`]: given the fiber's
+/// API handle, it builds the fiber's future.
+pub type FiberBody<Req, Resp> = Box<dyn FnOnce(FiberApi<Req, Resp>) -> FiberFuture + Send>;
 
-/// Whether a bounded spin-wait before blocking is worthwhile: only on hosts
-/// with more than one CPU, where the fiber thread can actually make progress
-/// while the engine spins.
-fn spin_before_block() -> bool {
-    use std::sync::OnceLock;
-    static MULTI_CPU: OnceLock<bool> = OnceLock::new();
-    *MULTI_CPU.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+/// The one-request exchange between a suspended fiber and its pool.
+#[derive(Debug)]
+struct Mailbox<Req, Resp> {
+    req: Option<Req>,
+    resp: Option<Resp>,
+}
+
+/// A mailbox shared by a fiber's [`FiberApi`] and its pool slot. Only one
+/// side touches it at a time (the pool polls the fiber inline), so the lock
+/// is never contended; it exists because the pool and its futures must be
+/// `Send` to move onto a shard thread.
+type SharedMailbox<Req, Resp> = Arc<Mutex<Mailbox<Req, Resp>>>;
+
+fn lock<Req, Resp>(mailbox: &SharedMailbox<Req, Resp>) -> MutexGuard<'_, Mailbox<Req, Resp>> {
+    // No code panics while holding the guard: it only moves values in and
+    // out of the two slots.
+    mailbox.lock().expect("fiber mailbox lock poisoned")
 }
 
 /// Handle given to application code for issuing simulated operations.
@@ -38,21 +53,18 @@ fn spin_before_block() -> bool {
 /// See the crate-level example for usage.
 #[derive(Debug)]
 pub struct FiberApi<Req, Resp> {
-    req_tx: SyncSender<Req>,
-    resp_rx: Receiver<Resp>,
+    mailbox: SharedMailbox<Req, Resp>,
 }
 
 impl<Req, Resp> FiberApi<Req, Resp> {
-    /// Submits `req` to the engine and blocks until the engine replies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine terminates without replying (which aborts this
-    /// fiber thread only; the engine surfaces the condition via
-    /// [`FiberPool::join`]).
-    pub fn call(&mut self, req: Req) -> Resp {
-        self.req_tx.send(req).expect("simulation engine terminated while fiber was running");
-        self.resp_rx.recv().expect("simulation engine terminated while fiber awaited a reply")
+    /// Submits `req` to the engine and suspends until the engine replies.
+    pub async fn call(&mut self, req: Req) -> Resp {
+        lock(&self.mailbox).req = Some(req);
+        std::future::poll_fn(|_| match lock(&self.mailbox).resp.take() {
+            Some(resp) => Poll::Ready(resp),
+            None => Poll::Pending,
+        })
+        .await
     }
 }
 
@@ -61,7 +73,7 @@ impl<Req, Resp> FiberApi<Req, Resp> {
 pub enum Resumed {
     /// The fiber issued another request (now pending in the pool).
     HasRequest,
-    /// The fiber's closure returned; the processor is done.
+    /// The fiber's body returned; the processor is done.
     Finished,
 }
 
@@ -72,61 +84,61 @@ enum SlotState<Req> {
     /// The engine took the request and has not yet replied (e.g. a stalled
     /// miss being serviced by other processors).
     AwaitingReply,
-    /// The fiber's closure returned (or its thread terminated).
+    /// The fiber's body returned.
     Finished,
 }
 
-#[derive(Debug)]
 struct Slot<Req, Resp> {
-    resp_tx: SyncSender<Resp>,
-    req_rx: Receiver<Req>,
+    /// The suspended body; `None` once it has finished.
+    future: Option<FiberFuture>,
+    mailbox: SharedMailbox<Req, Resp>,
     state: SlotState<Req>,
-    handle: Option<JoinHandle<()>>,
 }
 
 /// A pool of suspended application fibers, one per simulated processor.
 ///
 /// Invariant maintained by the pool: every live fiber is either `Pending`
 /// (its next request is buffered here) or `AwaitingReply` (the engine owes it
-/// a response). The engine therefore never needs to block except inside
-/// [`FiberPool::resume`], where the resumed fiber is guaranteed to produce
-/// its next request or finish after a finite amount of application compute.
-#[derive(Debug)]
+/// a response). [`FiberPool::resume`] runs the resumed fiber's application
+/// compute inline until it produces its next request or finishes.
 pub struct FiberPool<Req, Resp> {
     slots: Vec<Slot<Req, Resp>>,
+    /// Number of slots not `Finished`.
+    live: usize,
 }
 
-impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
-    /// Spawns `n` fibers all running `f(proc_id, api)`.
+impl<Req: std::fmt::Debug, Resp> std::fmt::Debug for FiberPool<Req, Resp> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FiberPool")
+            .field("states", &self.slots.iter().map(|s| &s.state).collect::<Vec<_>>())
+            .field("live", &self.live)
+            .finish()
+    }
+}
+
+impl<Req, Resp> FiberPool<Req, Resp> {
+    /// Starts `n` fibers running `f(proc_id, api)`.
     ///
-    /// Blocks until every fiber has either issued its first request or
+    /// Returns once every fiber has either issued its first request or
     /// finished.
-    pub fn spawn<F>(n: u32, f: F) -> Self
+    pub fn spawn<F, Fut>(n: u32, f: F) -> Self
     where
-        F: Fn(u32, FiberApi<Req, Resp>) + Send + Sync + 'static,
+        F: Fn(u32, FiberApi<Req, Resp>) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
     {
-        let f = std::sync::Arc::new(f);
-        Self::spawn_each(
-            (0..n)
-                .map(|p| {
-                    let f = std::sync::Arc::clone(&f);
-                    Box::new(move |api: FiberApi<Req, Resp>| f(p, api)) as FiberBody<Req, Resp>
-                })
-                .collect(),
-        )
+        Self::start(n as usize, |p, api| Some(Box::pin(f(p as u32, api))))
     }
 
-    /// Spawns one fiber per closure (closures may capture distinct state).
+    /// Starts one fiber per body (bodies may capture distinct state).
     ///
-    /// Blocks until every fiber has either issued its first request or
+    /// Returns once every fiber has either issued its first request or
     /// finished.
     pub fn spawn_each(bodies: Vec<FiberBody<Req, Resp>>) -> Self {
         Self::spawn_selected(bodies.into_iter().map(Some).collect())
     }
 
-    /// Spawns a fiber per `Some` body; `None` slots become permanent
-    /// `Finished` placeholders that occupy a processor index without a
-    /// thread.
+    /// Starts a fiber per `Some` body; `None` slots become permanent
+    /// `Finished` placeholders that occupy a processor index without a body.
     ///
     /// This keeps processor ids global when a caller only drives a subset of
     /// processors (the sharded engine spawns each physical node's fibers in
@@ -134,71 +146,61 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
     /// global-index signatures, placeholder slots simply report `Finished`
     /// forever, and `live_count`/`join` see only the real fibers.
     ///
-    /// Blocks until every spawned fiber has either issued its first request
+    /// Returns once every started fiber has either issued its first request
     /// or finished.
-    pub fn spawn_selected(bodies: Vec<Option<FiberBody<Req, Resp>>>) -> Self {
-        let mut slots = Vec::with_capacity(bodies.len());
-        let mut spawned = Vec::new();
-        for (p, body) in bodies.into_iter().enumerate() {
-            // Request bound of 1: the fiber can park its next request without
-            // waiting for the engine to rendezvous, halving context switches.
-            let (req_tx, req_rx) = sync_channel::<Req>(1);
-            let (resp_tx, resp_rx) = sync_channel::<Resp>(1);
-            let (state, handle) = match body {
-                Some(body) => {
-                    let handle = std::thread::Builder::new()
-                        .name(format!("fiber-{p}"))
-                        .spawn(move || body(FiberApi { req_tx, resp_rx }))
-                        .expect("failed to spawn fiber thread");
-                    spawned.push(p as u32);
-                    // Placeholder until the first refill below.
-                    (SlotState::AwaitingReply, Some(handle))
-                }
-                // No thread: the request sender is dropped here, so any
-                // accidental refill sees a disconnect and stays Finished.
-                None => (SlotState::Finished, None),
+    pub fn spawn_selected(mut bodies: Vec<Option<FiberBody<Req, Resp>>>) -> Self {
+        Self::start(bodies.len(), |p, api| bodies[p].take().map(|body| body(api)))
+    }
+
+    /// Builds `n` slots from `start(p, api)` (`None` = placeholder), then
+    /// runs every started fiber to its first request.
+    fn start(
+        n: usize,
+        mut start: impl FnMut(usize, FiberApi<Req, Resp>) -> Option<FiberFuture>,
+    ) -> Self {
+        let mut pool = FiberPool { slots: Vec::with_capacity(n), live: 0 };
+        for p in 0..n {
+            let mailbox = Arc::new(Mutex::new(Mailbox { req: None, resp: None }));
+            let future = start(p, FiberApi { mailbox: Arc::clone(&mailbox) });
+            // Live slots hold a placeholder state until their first step.
+            let state = if future.is_some() {
+                pool.live += 1;
+                SlotState::AwaitingReply
+            } else {
+                SlotState::Finished
             };
-            slots.push(Slot { resp_tx, req_rx, state, handle });
+            pool.slots.push(Slot { future, mailbox, state });
         }
-        let mut pool = FiberPool { slots };
-        for p in spawned {
-            pool.refill(p);
+        for p in 0..n {
+            if pool.slots[p].future.is_some() {
+                pool.step(p as u32);
+            }
         }
         pool
     }
 
-    /// Blocks until fiber `p` produces its next request or finishes, then
-    /// records the outcome. Propagates the fiber's panic, if any.
+    /// Polls fiber `p` once, recording its next request or its completion.
+    /// A panic in the body unwinds straight through to the caller.
     ///
-    /// On multi-core hosts the fiber usually parks its next request within a
-    /// few hundred nanoseconds of being resumed, so a bounded spin on
-    /// `try_recv` avoids a futex sleep/wake round trip per simulated
-    /// operation. On a single CPU the fiber cannot run until this thread
-    /// yields, so spinning only burns the timeslice — skip straight to the
-    /// blocking receive.
-    fn refill(&mut self, p: u32) {
+    /// # Panics
+    ///
+    /// Panics if the body suspended without issuing a request, i.e. awaited
+    /// something other than its own [`FiberApi::call`].
+    fn step(&mut self, p: u32) {
         let slot = &mut self.slots[p as usize];
-        if spin_before_block() {
-            for _ in 0..SPIN_ITERS {
-                match slot.req_rx.try_recv() {
-                    Ok(req) => {
-                        slot.state = SlotState::Pending(req);
-                        return;
-                    }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
-                }
-            }
-        }
-        match slot.req_rx.recv() {
-            Ok(req) => slot.state = SlotState::Pending(req),
-            Err(_) => {
+        let future = slot.future.as_mut().expect("only live fibers are stepped");
+        match future.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(()) => {
+                slot.future = None;
                 slot.state = SlotState::Finished;
-                if let Some(handle) = slot.handle.take() {
-                    if let Err(panic) = handle.join() {
-                        std::panic::resume_unwind(panic);
-                    }
-                }
+                self.live -= 1;
+            }
+            Poll::Pending => {
+                let req = lock(&slot.mailbox)
+                    .req
+                    .take()
+                    .unwrap_or_else(|| panic!("fiber {p} suspended without issuing a request"));
+                slot.state = SlotState::Pending(req);
             }
         }
     }
@@ -215,7 +217,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
 
     /// Number of fibers that have not yet finished.
     pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| !matches!(s.state, SlotState::Finished)).count()
+        self.live
     }
 
     /// Whether fiber `p` has finished.
@@ -246,8 +248,8 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         }
     }
 
-    /// Replies to fiber `p` (which must be `AwaitingReply`) and blocks until
-    /// it produces its next request or finishes.
+    /// Replies to fiber `p` (which must be `AwaitingReply`) and runs it
+    /// until it produces its next request or finishes.
     ///
     /// # Panics
     ///
@@ -259,8 +261,8 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
             matches!(slot.state, SlotState::AwaitingReply),
             "fiber {p} resumed without a taken request"
         );
-        slot.resp_tx.send(resp).expect("fiber thread died while awaiting reply");
-        self.refill(p);
+        lock(&slot.mailbox).resp = Some(resp);
+        self.step(p);
         if self.is_finished(p) {
             Resumed::Finished
         } else {
@@ -268,38 +270,14 @@ impl<Req: Send + 'static, Resp: Send + 'static> FiberPool<Req, Resp> {
         }
     }
 
-    /// Joins all fiber threads, propagating the first panic encountered.
-    ///
-    /// All fibers must already be finished; call only after the simulation
-    /// has drained.
+    /// Consumes the pool once the simulation has drained.
     ///
     /// # Panics
     ///
-    /// Panics if some fiber is still live, or re-raises a fiber panic.
-    pub fn join(mut self) {
-        for (p, slot) in self.slots.iter().enumerate() {
-            assert!(
-                matches!(slot.state, SlotState::Finished),
-                "join() called while fiber {p} is still live"
-            );
-        }
-        for slot in &mut self.slots {
-            if let Some(handle) = slot.handle.take() {
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-}
-
-impl<Req, Resp> Drop for FiberPool<Req, Resp> {
-    fn drop(&mut self) {
-        // Dropping the response senders unblocks any fiber stuck in `call`
-        // (its recv fails and the fiber thread unwinds). Detach the threads;
-        // their panics are confined to themselves.
-        for slot in &mut self.slots {
-            drop(slot.handle.take());
+    /// Panics if some fiber is still live.
+    pub fn join(self) {
+        if let Some(p) = self.slots.iter().position(|s| !matches!(s.state, SlotState::Finished)) {
+            panic!("join() called while fiber {p} is still live");
         }
     }
 }
@@ -327,9 +305,9 @@ mod tests {
 
     #[test]
     fn echo_engine_round_trips() {
-        let pool = FiberPool::<u64, u64>::spawn(4, |pid, mut api| {
+        let pool = FiberPool::<u64, u64>::spawn(4, |pid, mut api| async move {
             for i in 0..10u64 {
-                let got = api.call(pid as u64 * 100 + i);
+                let got = api.call(pid as u64 * 100 + i).await;
                 assert_eq!(got, (pid as u64 * 100 + i) + 1);
             }
         });
@@ -338,11 +316,11 @@ mod tests {
 
     #[test]
     fn fibers_may_finish_without_calling() {
-        let pool = FiberPool::<u64, u64>::spawn(3, |pid, mut api| {
+        let pool = FiberPool::<u64, u64>::spawn(3, |pid, mut api| async move {
             if pid == 1 {
                 return; // finishes immediately
             }
-            api.call(0);
+            api.call(0).await;
         });
         assert!(pool.is_finished(1));
         assert_eq!(pool.live_count(), 2);
@@ -350,14 +328,45 @@ mod tests {
     }
 
     #[test]
+    fn live_count_tracks_finishes() {
+        let mut pool = FiberPool::<u64, u64>::spawn(3, |pid, mut api| async move {
+            for _ in 0..pid {
+                api.call(0).await;
+            }
+        });
+        assert_eq!(pool.live_count(), 2);
+        for (p, live_after) in [(1, 1), (2, 1), (2, 0)] {
+            let req = pool.take_request(p).unwrap();
+            pool.resume(p, req);
+            assert_eq!(pool.live_count(), live_after);
+        }
+        pool.join();
+    }
+
+    #[test]
+    fn bodies_run_on_the_calling_thread() {
+        let engine = std::thread::current().id();
+        let mut pool = FiberPool::<u64, u64>::spawn(2, move |_, mut api| async move {
+            assert_eq!(std::thread::current().id(), engine);
+            api.call(0).await;
+            assert_eq!(std::thread::current().id(), engine);
+        });
+        for p in 0..2 {
+            let req = pool.take_request(p).unwrap();
+            assert_eq!(pool.resume(p, req), Resumed::Finished);
+        }
+        pool.join();
+    }
+
+    #[test]
     fn deferred_reply_models_a_stall() {
         // Fiber 0 issues a request whose reply is withheld until fiber 1 has
         // advanced — the shape of a remote miss serviced by another proc.
-        let pool = FiberPool::<u64, u64>::spawn(2, |pid, mut api| {
+        let pool = FiberPool::<u64, u64>::spawn(2, |pid, mut api| async move {
             if pid == 0 {
-                assert_eq!(api.call(7), 99);
+                assert_eq!(api.call(7).await, 99);
             } else {
-                assert_eq!(api.call(1), 2);
+                assert_eq!(api.call(1).await, 2);
             }
         });
         let mut pool = pool;
@@ -376,7 +385,9 @@ mod tests {
         let bodies: Vec<FiberBody<u64, u64>> = (0..3u64)
             .map(|seed| {
                 Box::new(move |mut api: FiberApi<u64, u64>| {
-                    assert_eq!(api.call(seed), seed * 2);
+                    Box::pin(async move {
+                        assert_eq!(api.call(seed).await, seed * 2);
+                    }) as FiberFuture
                 }) as FiberBody<u64, u64>
             })
             .collect();
@@ -394,7 +405,9 @@ mod tests {
             .map(|p| {
                 (p % 2 == 1).then(|| {
                     Box::new(move |mut api: FiberApi<u64, u64>| {
-                        assert_eq!(api.call(p), p + 1);
+                        Box::pin(async move {
+                            assert_eq!(api.call(p).await, p + 1);
+                        }) as FiberFuture
                     }) as FiberBody<u64, u64>
                 })
             })
@@ -414,8 +427,8 @@ mod tests {
 
     #[test]
     fn peek_does_not_consume() {
-        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| {
-            api.call(5);
+        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| async move {
+            api.call(5).await;
         });
         assert_eq!(pool.peek_request(0), Some(&5));
         assert_eq!(pool.peek_request(0), Some(&5));
@@ -429,29 +442,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn fiber_panic_propagates_to_engine() {
-        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| {
-            api.call(1);
+        let mut pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| async move {
+            api.call(1).await;
             panic!("boom");
         });
         let req = pool.take_request(0).unwrap();
-        pool.resume(0, req); // refill observes the panic and re-raises
+        pool.resume(0, req); // the body's panic unwinds through this poll
+    }
+
+    #[test]
+    #[should_panic(expected = "suspended without issuing a request")]
+    fn foreign_suspension_is_rejected() {
+        FiberPool::<u64, u64>::spawn(1, |_, _api| std::future::pending::<()>());
     }
 
     #[test]
     #[should_panic(expected = "still live")]
     fn join_rejects_live_fibers() {
-        let pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| {
-            api.call(1);
+        let pool = FiberPool::<u64, u64>::spawn(1, |_, mut api| async move {
+            api.call(1).await;
         });
         pool.join();
     }
 
     #[test]
     fn drop_unblocks_live_fibers_without_hanging() {
-        let pool = FiberPool::<u64, u64>::spawn(2, |_, mut api| {
-            api.call(1);
-            // Never replied-to; drop must unblock us.
-            api.call(2);
+        let pool = FiberPool::<u64, u64>::spawn(2, |_, mut api| async move {
+            api.call(1).await;
+            // Never replied-to; dropping the pool drops this suspended body.
+            api.call(2).await;
         });
         drop(pool); // must not hang or abort
     }

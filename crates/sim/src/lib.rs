@@ -5,19 +5,19 @@
 //! See `docs/ARCHITECTURE.md` for where this crate sits in the workspace.
 //!
 //! The Shasta reproduction simulates a 16-processor SMP cluster by *direct
-//! execution*: each simulated processor runs real Rust application code on
-//! its own OS thread, but every protocol-visible action (shared-memory
-//! access, synchronization, polling) is a rendezvous with a single engine
-//! thread that owns all protocol state and global simulated time. The engine
-//! always resumes the processor whose next action has the minimum
-//! `(time, processor-id)`, so runs are bit-reproducible regardless of host
-//! scheduling.
+//! execution*: each simulated processor runs real Rust application code as
+//! an `async` body, and every protocol-visible action (shared-memory access,
+//! synchronization, polling) suspends the body until the engine replies. The
+//! engine owns all protocol state and global simulated time, and polls the
+//! bodies inline on its own thread. It always resumes the processor whose
+//! next action has the minimum `(time, processor-id)`, so runs are
+//! bit-reproducible.
 //!
 //! This crate provides the protocol-agnostic machinery:
 //!
 //! * [`Time`] — simulated time in processor cycles,
-//! * [`FiberPool`] — the suspend/resume rendezvous between application
-//!   threads ("fibers") and the engine,
+//! * [`FiberPool`] — the suspend/resume exchange between application
+//!   bodies ("fibers") and the engine,
 //! * [`SplitMix64`] — a tiny deterministic RNG for workload generation,
 //! * [`trace`] — an optional bounded event trace for debugging.
 //!
@@ -29,8 +29,8 @@
 //! use shasta_sim::{FiberPool, Resumed};
 //!
 //! // A "protocol" where fibers submit numbers and the engine doubles them.
-//! let mut pool = FiberPool::<u64, u64>::spawn(2, |proc_id, mut api| {
-//!     let doubled = api.call(proc_id as u64 + 1);
+//! let mut pool = FiberPool::<u64, u64>::spawn(2, |proc_id, mut api| async move {
+//!     let doubled = api.call(proc_id as u64 + 1).await;
 //!     assert_eq!(doubled, 2 * (proc_id as u64 + 1));
 //! });
 //! for p in 0..2 {
@@ -49,7 +49,7 @@ pub mod sched;
 pub mod time;
 pub mod trace;
 
-pub use fiber::{FiberApi, FiberBody, FiberPool, Resumed};
+pub use fiber::{FiberApi, FiberBody, FiberFuture, FiberPool, Resumed};
 pub use rng::SplitMix64;
 pub use sched::{SchedulePolicy, Scheduler};
 pub use time::Time;

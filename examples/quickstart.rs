@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use shasta::cluster::{CostModel, Topology};
-use shasta::core::api::Dsm;
+use shasta::core::api::{body, Dsm};
 use shasta::core::protocol::{Machine, ProtocolConfig};
 use shasta::core::space::{BlockHint, HomeHint};
 use shasta::stats::MsgClass;
@@ -26,35 +26,35 @@ fn main() {
 
     let bodies = (0..16u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 // Processor 0 produces a message.
                 if p == 0 {
                     for i in 0..32u64 {
-                        dsm.store_u64(buffer + i * 8, i * i);
+                        dsm.store_u64(buffer + i * 8, i * i).await;
                     }
                 }
-                dsm.barrier(0);
+                dsm.barrier(0).await;
                 // Everyone consumes it (one software miss per node; node
                 // mates hit the node's copy through their private tables).
                 let mut sum = 0u64;
                 for i in 0..32u64 {
-                    sum += dsm.load_u64(buffer + i * 8);
+                    sum += dsm.load_u64(buffer + i * 8).await;
                     dsm.compute(20);
                 }
                 assert_eq!(sum, (0..32).map(|i| i * i).sum());
                 // And everyone bumps a lock-protected counter (migratory).
                 for _ in 0..10 {
-                    dsm.acquire(1);
-                    let v = dsm.load_u64(counter);
-                    dsm.store_u64(counter, v + 1);
-                    dsm.release(1);
+                    dsm.acquire(1).await;
+                    let v = dsm.load_u64(counter).await;
+                    dsm.store_u64(counter, v + 1).await;
+                    dsm.release(1).await;
                 }
-                dsm.barrier(1);
+                dsm.barrier(1).await;
                 if p == 0 {
-                    assert_eq!(dsm.load_u64(counter), 160);
+                    assert_eq!(dsm.load_u64(counter).await, 160);
                 }
-                dsm.barrier(2);
-            }) as Box<dyn FnOnce(Dsm) + Send>
+                dsm.barrier(2).await;
+            })
         })
         .collect();
 

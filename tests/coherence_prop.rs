@@ -11,11 +11,9 @@
 
 use proptest::prelude::*;
 use shasta::cluster::{CostModel, Topology};
-use shasta::core::api::Dsm;
+use shasta::core::api::{body, Body, Dsm};
 use shasta::core::protocol::{Machine, ProtocolConfig};
 use shasta::core::space::{BlockHint, HomeHint};
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 #[derive(Clone, Debug)]
 struct Phase {
@@ -53,17 +51,17 @@ fn run_program(
     let bodies: Vec<Body> = (0..procs)
         .map(|p| {
             let phases = std::sync::Arc::clone(&phases);
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 for (i, phase) in phases.iter().enumerate() {
                     for (slot, &w) in phase.writers.iter().enumerate() {
                         if w as u32 % procs == p {
-                            dsm.store_u64(base + 64 * slot as u64, value_of(i, slot));
+                            dsm.store_u64(base + 64 * slot as u64, value_of(i, slot)).await;
                         }
                     }
-                    dsm.barrier(i as u32 * 2);
+                    dsm.barrier(i as u32 * 2).await;
                     for (slot, &r) in phase.readers.iter().enumerate() {
                         if (r as u32 ^ slot as u32) % procs == p {
-                            let got = dsm.load_u64(base + 64 * slot as u64);
+                            let got = dsm.load_u64(base + 64 * slot as u64).await;
                             assert_eq!(
                                 got,
                                 value_of(i, slot),
@@ -71,9 +69,9 @@ fn run_program(
                             );
                         }
                     }
-                    dsm.barrier(i as u32 * 2 + 1);
+                    dsm.barrier(i as u32 * 2 + 1).await;
                 }
-            }) as Body
+            })
         })
         .collect();
     m.run(bodies); // post-run audit panics on any incoherence

@@ -10,13 +10,11 @@
 //!   stress suite).
 
 use shasta::cluster::{CostModel, Topology};
-use shasta::core::api::Dsm;
+use shasta::core::api::{body, Body, Dsm};
 use shasta::core::protocol::{Machine, ProtocolConfig};
 use shasta::core::space::{BlockHint, HomeHint};
 use shasta::fgdsm;
 use shasta::stats::MsgClass;
-
-type Body = Box<dyn FnOnce(Dsm) + Send>;
 
 /// Figure 2(a)/(b): processors with exclusive private state keep loading
 /// and storing while their node is downgraded; the data shipped to the
@@ -29,47 +27,47 @@ fn stores_before_downgrade_completion_are_shipped() {
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..8u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 match p {
                     0..=3 => {
                         // All of node 0 writes (everyone's private state goes
                         // exclusive in turn), then keeps storing right up to
                         // its poll points while node 1 requests the block.
-                        dsm.store_u64(a + 8 * p as u64, 100 + p as u64);
-                        dsm.barrier(0);
+                        dsm.store_u64(a + 8 * p as u64, 100 + p as u64).await;
+                        dsm.barrier(0).await;
                         for i in 0..50u64 {
-                            dsm.store_u64(a + 8 * p as u64, 1_000 * (p as u64 + 1) + i);
+                            dsm.store_u64(a + 8 * p as u64, 1_000 * (p as u64 + 1) + i).await;
                             dsm.compute(100);
                         }
-                        dsm.barrier(1);
+                        dsm.barrier(1).await;
                     }
                     4 => {
-                        dsm.barrier(0);
+                        dsm.barrier(0).await;
                         dsm.compute(2_000);
                         // This read forces an exclusive->shared downgrade of
                         // node 0 mid-hammer; whatever value ships must be one
                         // some processor actually stored.
-                        let v = dsm.load_u64(a);
+                        let v = dsm.load_u64(a).await;
                         assert!(
                             v == 100 || (1_000..1_050).contains(&v),
                             "shipped value {v} was never written"
                         );
-                        dsm.barrier(1);
+                        dsm.barrier(1).await;
                     }
                     _ => {
-                        dsm.barrier(0);
-                        dsm.barrier(1);
+                        dsm.barrier(0).await;
+                        dsm.barrier(1).await;
                     }
                 }
-                dsm.barrier(2);
+                dsm.barrier(2).await;
                 // After the joining barrier every copy agrees on the finals.
                 if p == 6 {
                     for q in 0..4u64 {
-                        assert_eq!(dsm.load_u64(a + 8 * q), 1_000 * (q + 1) + 49);
+                        assert_eq!(dsm.load_u64(a + 8 * q).await, 1_000 * (q + 1) + 49);
                     }
                 }
-                dsm.barrier(3);
-            }) as Body
+                dsm.barrier(3).await;
+            })
         })
         .collect();
     let stats = m.run(bodies);
@@ -86,24 +84,24 @@ fn invalidation_never_leaks_flag_values() {
     let a = m.setup(|s| s.malloc(64, BlockHint::Line, HomeHint::Explicit(0)));
     let bodies: Vec<Body> = (0..8u32)
         .map(|p| {
-            Box::new(move |mut dsm: Dsm| {
+            body(move |mut dsm: Dsm| async move {
                 if p < 4 {
                     // Node 0 reads the block in a tight loop while node 1
                     // invalidates it over and over.
                     for _ in 0..100 {
-                        let v = dsm.load_u64(a);
+                        let v = dsm.load_u64(a).await;
                         assert!(v < 1_000, "flag bytes leaked into a load: {v:#x}");
                         dsm.compute(50);
                     }
                 } else if p == 4 {
                     for i in 0..100u64 {
-                        dsm.store_u64(a, i);
+                        dsm.store_u64(a, i).await;
                         dsm.compute(120);
                     }
-                    dsm.fence();
+                    dsm.fence().await;
                 }
-                dsm.barrier(9);
-            }) as Body
+                dsm.barrier(9).await;
+            })
         })
         .collect();
     m.run(bodies);
