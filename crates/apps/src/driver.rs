@@ -173,7 +173,7 @@ impl RunConfig {
     pub fn with_hint_file(self, path: &std::path::Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let file = shasta_obs::HintFile::parse(&text)?;
+        let file = shasta_obs::HintFile::parse(&text).map_err(|e| e.to_string())?;
         Ok(self.with_site_hints(file.overrides()))
     }
 }

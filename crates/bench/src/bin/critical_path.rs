@@ -12,15 +12,12 @@
 //! incomplete streams), deterministically.
 //!
 //! Everything printed derives from simulated counters, so stdout is
-//! byte-identical for any `--sim-threads` value — `scripts/ci.sh` diffs a
-//! serial against a sharded invocation to prove the merged shard journals
-//! feed the analyzer the exact serial stream. Host wall time goes only to
-//! the `BENCH_critical_path.json` trajectory (one run object appended per
+//! deterministic. Host wall time goes only to the
+//! `BENCH_critical_path.json` trajectory (one run object appended per
 //! invocation, like the other `BENCH_*` files).
 //!
 //! ```text
-//! critical_path [--preset tiny|default|large] [--sim-threads N] [--quick]
-//!               [--out PATH]
+//! critical_path [--preset tiny|default|large] [--quick] [--out PATH]
 //! ```
 //!
 //! `--quick` is the CI smoke configuration: tiny preset unless `--preset`
@@ -28,8 +25,8 @@
 
 use std::time::Instant;
 
-use shasta_apps::{run_app_observed_shaped, Preset, Proto, RunConfig};
-use shasta_bench::{apps_for, preset_from_args, sim_threads_from_args, trajectory};
+use shasta_apps::{run_app_observed, Preset, Proto, RunConfig};
+use shasta_bench::{apps_for, preset_from_args, trajectory};
 use shasta_obs::{critpath, CritPath};
 use shasta_stats::{critical_path_report, RunStats};
 
@@ -56,29 +53,20 @@ fn run_once(
     spec: &shasta_apps::AppSpec,
     preset: Preset,
     ring: usize,
-    sim_threads: usize,
 ) -> (RunStats, shasta_obs::EventLog) {
     let app = (spec.build)(preset, false);
     let cfg = RunConfig::new(Proto::Smp, PROCS, CLUSTERING);
-    run_app_observed_shaped(app.as_ref(), &cfg, ring, |m| {
-        if sim_threads > 1 {
-            m.set_sim_threads(sim_threads);
-        }
-    })
+    run_app_observed(app.as_ref(), &cfg, ring)
 }
 
 /// Runs and analyzes one kernel, climbing the ring ladder until the
 /// complete stream fits. Returns the stats, the verified path, and the
 /// wall time of the final (analyzed) run.
-fn analyze_kernel(
-    spec: &shasta_apps::AppSpec,
-    preset: Preset,
-    sim_threads: usize,
-) -> (RunStats, CritPath, f64) {
+fn analyze_kernel(spec: &shasta_apps::AppSpec, preset: Preset) -> (RunStats, CritPath, f64) {
     let mut last_err = String::new();
     for ring in RINGS {
         let t = Instant::now();
-        let (stats, log) = run_once(spec, preset, ring, sim_threads);
+        let (stats, log) = run_once(spec, preset, ring);
         let wall = t.elapsed().as_secs_f64() * 1e3;
         if log.dropped() > 0 && ring != RINGS[RINGS.len() - 1] {
             continue;
@@ -100,7 +88,6 @@ fn main() {
     if quick && !args.iter().any(|a| a == "--preset") && std::env::var("SHASTA_PRESET").is_err() {
         preset = Preset::Tiny;
     }
-    let sim_threads = sim_threads_from_args();
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let out = flag("--out").unwrap_or_else(|| "BENCH_critical_path.json".to_string());
 
@@ -110,7 +97,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut total_wall = 0.0;
     for spec in apps_for(true, false) {
-        let (stats, path, wall) = analyze_kernel(&spec, preset, sim_threads);
+        let (stats, path, wall) = analyze_kernel(&spec, preset);
         total_wall += wall;
         let report = path.report();
         println!("=== {} ===", spec.name);
@@ -135,7 +122,7 @@ fn main() {
     let tiling_pass = rows.iter().all(|r| r.tiling_exact);
     let mut entry = String::from("    {\n");
     entry.push_str(&format!(
-        "      \"config\": {{\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"sim_threads\": {sim_threads}, \"host_cpus\": {host_cpus}, \"unix_time\": {}}},\n",
+        "      \"config\": {{\"preset\": \"{preset:?}\", \"procs\": {PROCS}, \"clustering\": {CLUSTERING}, \"host_cpus\": {host_cpus}, \"unix_time\": {}}},\n",
         trajectory::unix_stamp()
     ));
     entry.push_str("      \"kernels\": [\n");

@@ -263,16 +263,6 @@ pub fn jobs_from_args() -> usize {
     shasta_check::resolve_jobs(shasta_check::flag_value(&args, &["-j", "--jobs"]))
 }
 
-/// Parses the common `--sim-threads` CLI flag (0 = one worker per CPU;
-/// `SHASTA_SIM_THREADS` honoured when absent) and resolves it the same way
-/// `shasta-check` does. Controls the conservative parallel discrete-event
-/// engine *inside* each simulated run — bit-identical for every value, so
-/// like `--jobs` it can never change the bytes a benchmark prints.
-pub fn sim_threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    shasta_check::resolve_sim_threads(shasta_check::flag_value(&args, &["--sim-threads"]))
-}
-
 /// Shared plumbing for the append-only `BENCH_*.json` *trajectory* files:
 /// every benchmark invocation appends one run object to the file's `"runs"`
 /// array, so host-performance regressions stay visible across commits (and

@@ -44,7 +44,7 @@ use shasta_stats::RunStats;
 
 pub mod pool;
 
-pub use pool::{flag_value, par_map, resolve_jobs, resolve_sim_threads, resolve_threads};
+pub use pool::{flag_value, par_map, resolve_jobs};
 // The fault-injection and heterogeneous-topology vocabulary, re-exported so
 // checker callers (the bench bins, CI) need only this crate.
 pub use shasta_core::{FaultCounts, FaultPlan, NetProfile};
@@ -67,20 +67,6 @@ static METRICS: AtomicBool = AtomicBool::new(false);
 /// enforces exactly that with a diff of two `check` invocations.
 pub fn set_metrics_enabled(on: bool) {
     METRICS.store(on, Ordering::Relaxed);
-}
-
-/// Engine worker count for every subsequent checker machine (1 = serial).
-/// See [`set_sim_threads`].
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the simulation-engine worker count (`--sim-threads`) for every
-/// machine the checker builds from here on. Values above 1 let eligible
-/// runs use the conservative parallel discrete-event engine; runs the
-/// engine cannot shard bit-identically (oracles, fault plans, perturbing
-/// schedules, single-node topologies) silently stay serial, so checker
-/// output is byte-identical for every value of `n`.
-pub fn set_sim_threads(n: usize) {
-    SIM_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
 /// A data-race-free kernel the checker can run. All four are DRF by
@@ -397,10 +383,6 @@ fn build_machine(
         m.set_fault_plan(s.fault.with_seed(mixed));
     }
     m.set_schedule_policy(policy);
-    let sim_threads = SIM_THREADS.load(Ordering::Relaxed);
-    if sim_threads > 1 {
-        m.set_sim_threads(sim_threads);
-    }
     if METRICS.load(Ordering::Relaxed) {
         // Handles live inside the machine; the registry itself is dropped
         // (nobody snapshots it). Recording must not change a single byte of
@@ -489,15 +471,9 @@ pub fn replay_observed(
 }
 
 /// Runs a `(scenario, policy, bug)` triple with structured event recording
-/// *and* bounded diagnostic tracing enabled but **no oracle** — the
-/// combination the sharded engine can execute. Returns the statistics, the
-/// captured [`shasta_obs::EventLog`], and the rendered trace.
-///
-/// With [`set_sim_threads`] above 1 (and a multi-node, fault-free,
-/// deterministic scenario) this path exercises sharded recording with
-/// deterministic merge; all three return values are byte-identical for
-/// every worker count, which `recording_equivalence.rs` proves
-/// property-style and `scripts/ci.sh` re-proves with an end-to-end diff.
+/// *and* bounded diagnostic tracing enabled but **no oracle**. Returns the
+/// statistics, the captured [`shasta_obs::EventLog`], and the rendered
+/// trace.
 pub fn run_scenario_observed(
     s: &Scenario,
     policy: SchedulePolicy,

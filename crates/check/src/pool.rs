@@ -10,39 +10,25 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Resolves a thread count from an explicit request, an environment
-/// variable, or the serial default — the one convention shared by every
-/// thread-count knob in the workspace (`--jobs` here and in the bench bins,
-/// `--sim-threads` for the parallel engine):
+/// Resolves the sweep worker count (`--jobs` here and in the bench bins)
+/// from an explicit request, the `SHASTA_CHECK_JOBS` environment variable,
+/// or the serial default:
 ///
-/// * `Some(0)` — auto: one thread per available CPU;
-/// * `Some(n)` — exactly `n` threads;
-/// * `None` — consult `env_var` (same `0` = auto convention), falling back
-///   to `1` (serial) when unset or unparsable.
-pub fn resolve_threads(requested: Option<usize>, env_var: &str) -> usize {
+/// * `Some(0)` — auto: one worker per available CPU;
+/// * `Some(n)` — exactly `n` workers;
+/// * `None` — consult `SHASTA_CHECK_JOBS` (same `0` = auto convention),
+///   falling back to `1` (serial) when unset or unparsable.
+pub fn resolve_jobs(requested: Option<usize>) -> usize {
     let auto = || std::thread::available_parallelism().map_or(1, |n| n.get());
     match requested {
         Some(0) => auto(),
         Some(n) => n,
-        None => match std::env::var(env_var).ok().and_then(|v| v.parse().ok()) {
+        None => match std::env::var("SHASTA_CHECK_JOBS").ok().and_then(|v| v.parse().ok()) {
             Some(0) => auto(),
             Some(n) => n,
             None => 1,
         },
     }
-}
-
-/// Resolves the *host sweep* worker count (`--jobs` / `SHASTA_CHECK_JOBS`).
-pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    resolve_threads(requested, "SHASTA_CHECK_JOBS")
-}
-
-/// Resolves the *simulation engine* worker count (`--sim-threads` /
-/// `SHASTA_SIM_THREADS`). Orthogonal to [`resolve_jobs`]: jobs fan
-/// independent runs across cores, sim threads shard the event loop *inside*
-/// one run (bit-identical either way).
-pub fn resolve_sim_threads(requested: Option<usize>) -> usize {
-    resolve_threads(requested, "SHASTA_SIM_THREADS")
 }
 
 /// Extracts the value of the first present flag in `flags` from an argv
@@ -107,15 +93,14 @@ mod tests {
     fn resolve_jobs_explicit_wins() {
         assert_eq!(resolve_jobs(Some(3)), 3);
         assert!(resolve_jobs(Some(0)) >= 1, "auto resolves to at least one worker");
-        assert_eq!(resolve_sim_threads(Some(4)), 4);
     }
 
     #[test]
     fn flag_value_parses_first_matching_flag() {
         let args: Vec<String> =
-            ["check", "--jobs", "3", "--sim-threads", "2"].iter().map(|s| s.to_string()).collect();
+            ["check", "--jobs", "3", "--seeds", "2"].iter().map(|s| s.to_string()).collect();
         assert_eq!(flag_value(&args, &["-j", "--jobs"]), Some(3));
-        assert_eq!(flag_value(&args, &["--sim-threads"]), Some(2));
+        assert_eq!(flag_value(&args, &["--seeds"]), Some(2));
         assert_eq!(flag_value(&args, &["--absent"]), None);
         let trailing: Vec<String> = ["check", "--jobs"].iter().map(|s| s.to_string()).collect();
         assert_eq!(flag_value(&trailing, &["--jobs"]), None, "missing value reads as absent");

@@ -27,7 +27,7 @@ use crate::state::{LineState, PrivState, INVALID_FLAG};
 
 /// What the scheduler decided to do next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Action {
+enum Action {
     /// Execute the processor's pending operation.
     Op,
     /// Resume a stalled processor whose condition is satisfied.
@@ -48,9 +48,6 @@ impl Machine {
     pub fn run(&mut self, bodies: Vec<Body>) -> RunStats {
         let n = self.topo.procs();
         assert_eq!(bodies.len() as u32, n, "need exactly one program per processor");
-        if let Some(lookahead) = self.pdes_eligible() {
-            return crate::protocol::pdes::run_sharded(self, bodies, lookahead);
-        }
         let wrapped: Vec<shasta_sim::FiberBody<Req, Resp>> = bodies
             .into_iter()
             .enumerate()
@@ -173,43 +170,11 @@ impl Machine {
         self.stats.clone()
     }
 
-    /// Whether this run may execute on the sharded conservative-PDES engine,
-    /// and with what lookahead (in cycles). `None` means stay serial. The
-    /// conditions are exactly those under which sharded execution is
-    /// *provably* bit-identical to the serial loop:
-    ///
-    /// * more than one worker requested and more than one physical node to
-    ///   shard over;
-    /// * a transport with a positive lookahead bound (the simulated Memory
-    ///   Channel; real wire backends report `None`);
-    /// * the deterministic schedule policy (seeded policies draw jitter in
-    ///   global step order, which shards cannot reproduce);
-    /// * no oracle, step limit, or fault plan: these observe the *global*
-    ///   interleaving of scheduling steps.
-    ///
-    /// Event recording and tracing do **not** disqualify: shards journal
-    /// their recorded events per window and the coordinator replays the
-    /// journals through the parent recorder/trace in the merged serial
-    /// order, byte-identical to a serial run (see
-    /// `crate::protocol::pdes`).
-    pub(crate) fn pdes_eligible(&self) -> Option<u64> {
-        if self.sim_threads <= 1 || self.topo.phys_nodes() < 2 {
-            return None;
-        }
-        let lookahead = self.net.pdes_lookahead().filter(|&l| l > 0)?;
-        let clean = !self.sched.perturbs()
-            && self.oracle.is_none()
-            && self.step_limit.is_none()
-            && !self.net.fault_active()
-            && self.net.in_flight() == 0;
-        clean.then_some(lookahead)
-    }
-
     /// Pushes `p`'s schedulable actions (with their `(time, proc)` keys)
     /// onto `cands`: the order — Resume before Msg for a stalled processor —
     /// is load-bearing, because the deterministic policy breaks key ties by
     /// taking the first minimal entry.
-    pub(crate) fn push_candidates(
+    fn push_candidates(
         &self,
         pool: &FiberPool<Req, Resp>,
         p: u32,
@@ -241,7 +206,7 @@ impl Machine {
     /// Delivers the earliest inbound message to `p` (the `Action::Msg`
     /// step): pop, advance the clock to the arrival, run the delivery guard,
     /// and dispatch the handler under the message's causal context.
-    pub(crate) fn deliver_inbound(&mut self, p: u32) {
+    fn deliver_inbound(&mut self, p: u32) {
         let env = self.pop_inbound(p).expect("scheduled message vanished");
         let t = self.clocks[p as usize].max(env.arrival);
         self.clocks[p as usize] = t;
@@ -276,7 +241,7 @@ impl Machine {
     /// Executes one pending operation of `p` end to end: compute charge,
     /// inline-check surrogate, poll, execute. Returns `true` if the fiber was
     /// resumed (its next request is now pending), `false` if it stalled.
-    pub(crate) fn service_op(&mut self, pool: &mut FiberPool<Req, Resp>, p: u32) -> bool {
+    fn service_op(&mut self, pool: &mut FiberPool<Req, Resp>, p: u32) -> bool {
         let req = pool.take_request(p).expect("scheduled op without request");
         self.charge(p, TimeCat::Task, req.pre_cycles());
         // Inline checks on the accesses inside compute loops.
@@ -350,7 +315,7 @@ impl Machine {
 
     /// Earliest message `p` could handle: its own inbox, plus the node's
     /// shared incoming queue under load balancing.
-    pub(crate) fn earliest_inbound(&self, p: u32) -> Option<Time> {
+    fn earliest_inbound(&self, p: u32) -> Option<Time> {
         self.net.peek_any_arrival(p, self.cfg.load_balance_incoming)
     }
 
@@ -412,7 +377,7 @@ impl Machine {
 
     /// Resumes a stalled processor; returns the response to hand to its
     /// fiber, or `None` if it transitioned into another stall.
-    pub(crate) fn resume_stalled(&mut self, p: u32) -> Option<Resp> {
+    fn resume_stalled(&mut self, p: u32) -> Option<Resp> {
         let now = self.clocks[p as usize].max(self.wake_floor[p as usize]);
         self.clocks[p as usize] = now;
         let stall = self.stalls[p as usize].take().expect("resume without stall");

@@ -190,18 +190,6 @@ pub struct Machine {
     /// [`Transport`] implementation (e.g. the real loopback transport in
     /// `shasta-transport`) before the run starts.
     pub(crate) net: Box<dyn Transport<ProtoMsg>>,
-    /// The heterogeneous link profile installed via
-    /// [`Machine::set_net_profile`], kept here as well as on the transport
-    /// because the sharded engine must construct one transport per shard
-    /// with the same profile.
-    pub(crate) net_profile: Option<shasta_cluster::NetProfile>,
-    /// How many worker threads the conservative parallel discrete-event
-    /// engine may use (1 = stay serial; see [`Machine::set_sim_threads`]).
-    pub(crate) sim_threads: usize,
-    /// The metrics registry handed to [`Machine::set_metrics`] (disabled by
-    /// default). The sharded engine publishes its window/shard telemetry
-    /// here; recording is purely additive, like all registry use.
-    pub(crate) metrics: shasta_obs::Registry,
     // ---- per-processor runtime ----
     pub(crate) clocks: Vec<Time>,
     pub(crate) stalls: Vec<Option<Stall>>,
@@ -306,9 +294,6 @@ impl Machine {
             deferred_invals: (0..vnodes).map(|_| HashMap::new()).collect(),
             lingering: (0..vnodes).map(|_| Vec::new()).collect(),
             net: Box::new(Network::new(topo.clone(), cost.clone())),
-            net_profile: None,
-            sim_threads: 1,
-            metrics: shasta_obs::Registry::disabled(),
             clocks: vec![Time::ZERO; procs],
             stalls: vec![None; procs],
             wake_floor: vec![Time::ZERO; procs],
@@ -397,31 +382,7 @@ impl Machine {
     ///
     /// Panics if the profile's shape does not match the topology.
     pub fn set_net_profile(&mut self, profile: shasta_cluster::NetProfile) {
-        self.net.set_profile(profile.clone());
-        self.net_profile = Some(profile);
-    }
-
-    /// Allows the run loop to execute on up to `n` worker threads using the
-    /// conservative parallel discrete-event engine (one shard per physical
-    /// node, synchronized by lookahead windows — see `docs/PERFORMANCE.md`).
-    /// The default of 1 keeps the historical serial loop.
-    ///
-    /// Results are **bit-identical** to serial execution for any `n`: the
-    /// sharded engine only engages when it can prove equivalence (multiple
-    /// physical nodes, a transport with a positive lookahead bound, the
-    /// deterministic schedule policy, and no oracle / step limit / fault
-    /// plan), and falls back to the serial loop otherwise. Event recording
-    /// and tracing stay sharded: per-shard journals are merged at the
-    /// coordinator in serial event order, so the recorded stream is
-    /// byte-identical too. `n` is a cap, not a demand: at most one worker
-    /// per physical node is ever used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn set_sim_threads(&mut self, n: usize) {
-        assert!(n > 0, "sim-threads must be at least 1 (1 = serial)");
-        self.sim_threads = n;
+        self.net.set_profile(profile);
     }
 
     /// Replaces the messaging backend with another [`Transport`]
@@ -470,7 +431,6 @@ impl Machine {
     /// handles land on the backend that actually runs.
     pub fn set_metrics(&mut self, registry: &shasta_obs::Registry) {
         self.net.set_metrics(registry);
-        self.metrics = registry.clone();
     }
 
     /// Allocates the next miss id and installs it as the transport's causal

@@ -279,30 +279,29 @@ impl SharedSpace {
             Some(&bytes) if label != "anon" => BlockHint::Bytes(bytes),
             _ => block,
         };
+        // Sizes and block hints may come from a hint file, so every rounding
+        // step is checked: a result past `u64::MAX` is certainly past the heap.
+        let oom = || AllocError::OutOfMemory {
+            requested: size,
+            available: self.heap_bytes.saturating_sub(self.next),
+        };
+        let round_up = |x: u64, m: u64| x.div_ceil(m).checked_mul(m);
         let block_bytes = match block {
             BlockHint::Auto => {
                 if size < SMALL_OBJECT_BYTES {
                     // Whole-object block, rounded up to a line multiple.
-                    size.div_ceil(self.line_bytes) * self.line_bytes
+                    round_up(size, self.line_bytes)
                 } else {
-                    self.line_bytes
+                    Some(self.line_bytes)
                 }
             }
-            BlockHint::Line => self.line_bytes,
-            BlockHint::Bytes(n) => n.max(1).div_ceil(self.line_bytes) * self.line_bytes,
-        };
-        let start = self.next.div_ceil(block_bytes) * block_bytes;
-        let len = size.div_ceil(block_bytes) * block_bytes;
-        let end = start.checked_add(len).ok_or(AllocError::OutOfMemory {
-            requested: size,
-            available: self.heap_bytes.saturating_sub(self.next),
-        })?;
-        if end > self.heap_bytes {
-            return Err(AllocError::OutOfMemory {
-                requested: size,
-                available: self.heap_bytes.saturating_sub(self.next),
-            });
+            BlockHint::Line => Some(self.line_bytes),
+            BlockHint::Bytes(n) => round_up(n.max(1), self.line_bytes),
         }
+        .ok_or_else(oom)?;
+        let start = round_up(self.next, block_bytes).ok_or_else(oom)?;
+        let len = round_up(size, block_bytes).ok_or_else(oom)?;
+        let end = start.checked_add(len).filter(|&end| end <= self.heap_bytes).ok_or_else(oom)?;
         self.next = end;
         self.allocs.push(Allocation { start, len, block_bytes, home });
         self.labels.push(label);
@@ -487,6 +486,23 @@ mod tests {
         assert_eq!(s.block_of(b).unwrap().len, 256, "unlisted labels keep their hint");
         let c = s.malloc(1_024, BlockHint::Line, HomeHint::RoundRobin).unwrap();
         assert_eq!(s.block_of(c).unwrap().len, 64, "anonymous allocations are never overridden");
+    }
+
+    #[test]
+    fn oversized_hints_and_sizes_are_errors_not_overflows() {
+        let mut s = space();
+        s.set_hint_overrides([("huge".to_string(), u64::MAX)].into_iter().collect());
+        assert!(matches!(
+            s.malloc_labeled(64, BlockHint::Line, HomeHint::RoundRobin, "huge"),
+            Err(AllocError::OutOfMemory { requested: 64, .. })
+        ));
+        assert!(matches!(
+            s.malloc(u64::MAX, BlockHint::Line, HomeHint::RoundRobin),
+            Err(AllocError::OutOfMemory { .. })
+        ));
+        // A failed allocation leaves the heap usable.
+        let a = s.malloc(64, BlockHint::Line, HomeHint::RoundRobin).unwrap();
+        assert_eq!(s.block_of(a).unwrap().len, 64);
     }
 
     #[test]

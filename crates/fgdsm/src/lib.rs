@@ -57,10 +57,8 @@
 //! ```
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// The value stored in every word of an invalidated line (§2.3).
 pub const INVALID_FLAG: u32 = 0xDEAD_BEEF;
@@ -243,7 +241,7 @@ impl FgDsm {
             let mut txs = Vec::new();
             let mut rxs = Vec::new();
             for _ in 0..cfg.threads_per_node {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = mpsc::channel();
                 txs.push(tx);
                 rxs.push(Some(rx));
             }
@@ -282,7 +280,7 @@ impl FgDsm {
     {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            let mut rxs = self.receivers.lock();
+            let mut rxs = self.receivers.lock().expect("receiver table poisoned by an earlier run");
             for n in 0..self.inner.cfg.nodes {
                 for t in 0..self.inner.cfg.threads_per_node {
                     let rx = rxs[n as usize][t as usize].take().expect("run() called twice");
@@ -299,7 +297,8 @@ impl FgDsm {
                 }
             }
             drop(rxs);
-            let mut back = self.receivers.lock();
+            let mut back =
+                self.receivers.lock().expect("receiver table poisoned by an earlier run");
             let mut iter = handles.into_iter();
             for n in 0..self.inner.cfg.nodes {
                 for t in 0..self.inner.cfg.threads_per_node {
@@ -434,8 +433,12 @@ impl<'a> Handle<'a> {
     fn lock_line(&mut self, line: usize) -> MutexGuard<'a, DirEntry> {
         let inner: &'a Inner = self.inner;
         loop {
-            if let Some(g) = inner.dir[line].try_lock() {
-                return g;
+            match inner.dir[line].try_lock() {
+                Ok(g) => return g,
+                Err(TryLockError::Poisoned(_)) => {
+                    panic!("line {line} lock poisoned: a runtime thread panicked under it")
+                }
+                Err(TryLockError::WouldBlock) => {}
             }
             self.poll();
             // Yield rather than pure spin: on a single-CPU host the lock

@@ -86,13 +86,11 @@ use shasta_cluster::{CostModel, NetProfile, Topology};
 use shasta_sim::{SplitMix64, Time};
 use shasta_stats::{MsgClass, MsgStats};
 
-mod pdes;
 mod seqguard;
 mod transport;
 
-pub use pdes::{PdesSendRecord, ShardNet, PDES_PROVISIONAL_BASE};
 pub use seqguard::{PairSequencer, SeqVerdict};
-pub use transport::Transport;
+pub use transport::{PdesSendRecord, Transport};
 
 /// A message in flight or queued at its destination.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -892,26 +890,6 @@ impl<M: Eq + Clone> Network<M> {
     /// Message statistics accumulated so far.
     pub fn stats(&self) -> &MsgStats {
         &self.stats
-    }
-
-    /// The conservative PDES lookahead this network justifies, in cycles:
-    /// the minimum cross-physical-node one-way latency of the installed
-    /// [`NetProfile`], or the cost model's uniform `mc_oneway_cycles` when
-    /// no profile is installed. 0 when the topology has a single physical
-    /// node (no cross-node link exists, so no window can be justified).
-    ///
-    /// Link occupancy and queuing only ever *add* to a remote message's
-    /// arrival time (see [`Network::send`]'s arithmetic), so a message sent
-    /// at time `t` can never become visible to another node before
-    /// `t + lookahead()` — the bound the sharded engine's windows rest on.
-    pub fn lookahead(&self) -> u64 {
-        if self.topo.phys_nodes() < 2 {
-            return 0;
-        }
-        match &self.profile {
-            Some(p) => p.lookahead(),
-            None => self.cost.mc_oneway_cycles,
-        }
     }
 }
 

@@ -29,6 +29,26 @@ use shasta_stats::{MsgClass, MsgStats};
 
 use crate::{Envelope, FaultCounts, FaultPlan, Network};
 
+/// The item type of the retired [`Transport::pdes_take_window`] hook.
+///
+/// Kept only because the benchmark's timing transport
+/// (`perfbench/src/memchan_timing.rs`) imports it to forward that hook; no
+/// backend produces one any more. Goes with the hooks at the benchmark's
+/// next revision.
+#[derive(Debug)]
+pub enum PdesSendRecord<M> {
+    /// An intra-node send, identified by its sequence number.
+    Local {
+        /// The send's sequence number.
+        prov_seq: u64,
+    },
+    /// A cross-node send, carried whole.
+    Remote {
+        /// The complete envelope.
+        env: Envelope<M>,
+    },
+}
+
 /// What the protocol engine requires of a messaging backend.
 ///
 /// Implemented by the simulated [`Network`] (the oracle) and by the real
@@ -124,42 +144,28 @@ pub trait Transport<M>: std::fmt::Debug + Send {
     /// default is a no-op, which is right for the simulated network.
     fn shutdown(&mut self) {}
 
-    // --- Conservative-PDES coordination interface -----------------------
+    // --- Retired parallel-engine hooks ----------------------------------
     //
-    // The sharded engine (see `docs/PERFORMANCE.md`, "Parallel
-    // discrete-event execution") drives one transport per physical-node
-    // shard through the methods below. They have inert defaults so that
-    // ordinary backends ignore them; only the simulated [`Network`]
-    // (lookahead probe) and [`ShardNet`](crate::ShardNet) (everything
-    // else) override them.
+    // Nothing in the workspace calls these four methods. They stay, inert,
+    // only because the benchmark's timing transport
+    // (`perfbench/src/memchan_timing.rs`) forwards them by name, and the
+    // benchmark changes only in a change of its own. Delete them and
+    // `PdesSendRecord` in the benchmark's next revision.
 
-    /// The conservative lookahead this backend can justify, in cycles: a
-    /// lower bound on the latency of every cross-physical-node message, or
-    /// `None` when the backend cannot support sharded execution at all
-    /// (the default — real wire backends have no simulated latency floor,
-    /// so the engine stays serial on them).
+    /// Retired; always `None`.
     fn pdes_lookahead(&self) -> Option<u64> {
         None
     }
 
-    /// Tells a shard transport which window-local event the engine is
-    /// about to execute, so subsequent sends are journaled under that
-    /// index. No-op everywhere except [`ShardNet`](crate::ShardNet).
+    /// Retired; a no-op.
     fn pdes_begin_event(&mut self, _event_index: u32) {}
 
-    /// Drains the shard transport's per-window send journal (and its
-    /// cross-shard outbox, referenced by the `Remote` records). Empty
-    /// everywhere except [`ShardNet`](crate::ShardNet).
-    fn pdes_take_window(&mut self) -> Vec<(u32, crate::PdesSendRecord<M>)> {
+    /// Retired; always empty.
+    fn pdes_take_window(&mut self) -> Vec<(u32, PdesSendRecord<M>)> {
         Vec::new()
     }
 
-    /// Applies a window barrier to a shard transport: rewrites the
-    /// provisional sequence numbers of locally queued messages to their
-    /// final (serial-order) values per `remap`, enqueues the cross-shard
-    /// `injections` (each an envelope plus its final sequence number), and
-    /// resets the provisional numbering for the next window. No-op
-    /// everywhere except [`ShardNet`](crate::ShardNet).
+    /// Retired; a no-op.
     fn pdes_apply(&mut self, _remap: &[(u64, u64)], _injections: Vec<(Envelope<M>, u64)>) {}
 }
 
@@ -226,9 +232,5 @@ impl<M: Eq + Clone + Send + std::fmt::Debug> Transport<M> for Network<M> {
 
     fn set_metrics(&mut self, registry: &shasta_obs::Registry) {
         Network::set_metrics(self, registry)
-    }
-
-    fn pdes_lookahead(&self) -> Option<u64> {
-        Some(Network::lookahead(self))
     }
 }

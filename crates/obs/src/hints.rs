@@ -41,6 +41,39 @@ pub struct SiteHint {
     pub pattern: String,
 }
 
+/// Why [`HintFile::parse`] rejected its input.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum HintParseError {
+    /// The text has no header line.
+    Empty,
+    /// The first line is not a `shasta-hints vN` header.
+    BadHeader(String),
+    /// The header names a version this build cannot read.
+    UnsupportedVersion(u32),
+    /// A hint line is malformed.
+    BadLine {
+        /// 1-based line number.
+        line: usize,
+        /// The offending line, trimmed.
+        text: String,
+    },
+}
+
+impl std::fmt::Display for HintParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HintParseError::Empty => write!(f, "empty hint file"),
+            HintParseError::BadHeader(header) => write!(f, "bad hint-file header: {header:?}"),
+            HintParseError::UnsupportedVersion(v) => {
+                write!(f, "hint-file version {v} unsupported (expected {HINT_FILE_VERSION})")
+            }
+            HintParseError::BadLine { line, text } => write!(f, "bad hint line {line}: {text:?}"),
+        }
+    }
+}
+
+impl std::error::Error for HintParseError {}
+
 /// A versioned set of per-site hints with deterministic text serialization.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct HintFile {
@@ -66,17 +99,19 @@ impl HintFile {
     /// Parses the text form produced by [`to_text`](Self::to_text).
     /// Unknown versions and malformed lines are errors; blank lines and
     /// `#` comments are ignored.
-    pub fn parse(text: &str) -> Result<HintFile, String> {
+    ///
+    /// # Errors
+    ///
+    /// A [`HintParseError`] naming the first problem found.
+    pub fn parse(text: &str) -> Result<HintFile, HintParseError> {
         let mut lines = text.lines();
-        let header = lines.next().ok_or("empty hint file")?;
+        let header = lines.next().ok_or(HintParseError::Empty)?;
         let version = header
             .strip_prefix("shasta-hints v")
             .and_then(|v| v.trim().parse::<u32>().ok())
-            .ok_or_else(|| format!("bad hint-file header: {header:?}"))?;
+            .ok_or_else(|| HintParseError::BadHeader(header.to_string()))?;
         if version != HINT_FILE_VERSION {
-            return Err(format!(
-                "hint-file version {version} unsupported (expected {HINT_FILE_VERSION})"
-            ));
+            return Err(HintParseError::UnsupportedVersion(version));
         }
         let mut hints = Vec::new();
         for (i, line) in lines.enumerate() {
@@ -85,7 +120,7 @@ impl HintFile {
                 continue;
             }
             let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-            let err = || format!("bad hint line {}: {line:?}", i + 2);
+            let err = || HintParseError::BadLine { line: i + 2, text: line.to_string() };
             if fields.len() != 5 || fields[0] != "hint" {
                 return Err(err());
             }
@@ -267,5 +302,120 @@ mod tests {
             proptest::prop_assert_eq!(parsed.to_text(), text);
             proptest::prop_assert_eq!(parsed.overrides(), f.overrides());
         }
+    }
+
+    /// The decoder contract for untrusted hint text: every input parses or
+    /// yields a [`HintParseError`] (never a panic), a rejected line is
+    /// reported by its real line number, and whatever parses re-serializes
+    /// to text that parses back to the same hints.
+    fn check_parse(text: &str) {
+        match HintFile::parse(text) {
+            Ok(f) => assert_eq!(HintFile::parse(&f.to_text()).as_ref(), Ok(&f), "{text:?}"),
+            Err(HintParseError::BadLine { line, text: bad }) => {
+                assert_eq!(text.lines().nth(line - 1).map(str::trim), Some(bad.as_str()));
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Fields a fuzzed hint line is assembled from: valid and invalid
+    /// numbers (including `u64::MAX`, one past it, and negatives), stray
+    /// keywords, comment markers, and non-ASCII text.
+    const TOKENS: [&str; 16] = [
+        "hint",
+        "lu.matrix",
+        "64",
+        "0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "0x40",
+        "private",
+        "#",
+        "shasta-hints",
+        "v1",
+        "\t",
+        "é",
+        "",
+        "1e3",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256 })]
+
+        #[test]
+        fn arbitrary_bytes_parse_or_fail_typed(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            header in 0u8..2,
+        ) {
+            let body = String::from_utf8_lossy(&bytes);
+            check_parse(&body);
+            if header == 1 {
+                check_parse(&format!("shasta-hints v1\n{body}"));
+            }
+        }
+
+        #[test]
+        fn token_soup_lines_parse_or_fail_typed(
+            lines in proptest::collection::vec(
+                proptest::collection::vec(0usize..TOKENS.len(), 0..7),
+                0..8,
+            ),
+        ) {
+            let mut text = String::from("shasta-hints v1\n");
+            for line in &lines {
+                let fields: Vec<&str> = line.iter().map(|&t| TOKENS[t]).collect();
+                text.push_str(&fields.join(" "));
+                text.push('\n');
+            }
+            check_parse(&text);
+        }
+
+        #[test]
+        fn truncated_and_bit_flipped_files_parse_or_fail_typed(
+            raw in proptest::collection::vec((0u32..50, 1u64..1 << 40), 1..6),
+            flips in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..4),
+        ) {
+            let hints = raw
+                .iter()
+                .map(|&(l, bytes)| SiteHint {
+                    label: format!("site{l}"),
+                    block_bytes: bytes,
+                    from_bytes: 64,
+                    pattern: "private".to_string(),
+                })
+                .collect();
+            let text = HintFile { hints }.to_text();
+            for cut in (0..=text.len()).filter(|&c| text.is_char_boundary(c)) {
+                check_parse(&text[..cut]);
+            }
+            let mut bytes = text.into_bytes();
+            for f in flips {
+                let bit = f as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            check_parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn parse_errors_are_typed() {
+        assert_eq!(HintFile::parse(""), Err(HintParseError::Empty));
+        assert_eq!(
+            HintFile::parse("shasta-hint v1\n"),
+            Err(HintParseError::BadHeader("shasta-hint v1".to_string()))
+        );
+        assert_eq!(
+            HintFile::parse("shasta-hints v2\n"),
+            Err(HintParseError::UnsupportedVersion(2))
+        );
+        assert_eq!(
+            HintFile::parse("shasta-hints v1\n# c\n hint a 64 -1 private \n"),
+            Err(HintParseError::BadLine { line: 3, text: "hint a 64 -1 private".to_string() })
+        );
+        // A syntactically valid but absurd block size parses; the allocator
+        // is what rejects it.
+        let huge = HintFile::parse("shasta-hints v1\nhint a 18446744073709551615 64 private\n");
+        assert_eq!(huge.unwrap().overrides().get("a"), Some(&u64::MAX));
     }
 }

@@ -61,7 +61,7 @@ mod rederive;
 pub use critpath::{analyze, CritPath, PathCat, Segment};
 pub use event::{Event, EventKind};
 pub use fig4::Fig4Agg;
-pub use hints::{hints_from_reports, HintFile, SiteHint};
+pub use hints::{hints_from_reports, HintFile, HintParseError, SiteHint};
 pub use metrics::{Counter, Gauge, Histogram, HistogramHandle, Registry};
 pub use profile::{ProfileAgg, Recommendation, SharingPattern, SiteReport, SpaceMap};
 pub use recorder::{EventLog, ProcEvents, Recorder};

@@ -4,12 +4,12 @@
 //! Each simulated processor's program is an ordinary Rust `async` body. When
 //! it performs a DSM operation it awaits [`FiberApi::call`], which parks the
 //! request in the fiber's mailbox and suspends the body. The pool polls each
-//! body on the caller's own thread (the engine thread, or a PDES shard
-//! thread) with a no-op waker: the engine decides who runs next, so nothing
-//! ever needs waking. The engine holds every live fiber's *pending request*
-//! (see [`FiberPool::peek_request`]), so it can always pick the globally
-//! earliest action; between a fiber's operations only that fiber's private
-//! data is touched, so application code cannot introduce nondeterminism.
+//! body on the engine's own thread with a no-op waker: the engine decides
+//! who runs next, so nothing ever needs waking. The engine holds every live
+//! fiber's *pending request* (see [`FiberPool::peek_request`]), so it can
+//! always pick the globally earliest action; between a fiber's operations
+//! only that fiber's private data is touched, so application code cannot
+//! introduce nondeterminism.
 //!
 //! Deadlock discipline: a body must never block except by awaiting a call on
 //! its own [`FiberApi`] — all inter-processor communication goes through the
@@ -38,8 +38,7 @@ struct Mailbox<Req, Resp> {
 
 /// A mailbox shared by a fiber's [`FiberApi`] and its pool slot. Only one
 /// side touches it at a time (the pool polls the fiber inline), so the lock
-/// is never contended; it exists because the pool and its futures must be
-/// `Send` to move onto a shard thread.
+/// is never contended; it exists because fiber bodies are `Send` futures.
 type SharedMailbox<Req, Resp> = Arc<Mutex<Mailbox<Req, Resp>>>;
 
 fn lock<Req, Resp>(mailbox: &SharedMailbox<Req, Resp>) -> MutexGuard<'_, Mailbox<Req, Resp>> {
@@ -126,7 +125,7 @@ impl<Req, Resp> FiberPool<Req, Resp> {
         F: Fn(u32, FiberApi<Req, Resp>) -> Fut,
         Fut: Future<Output = ()> + Send + 'static,
     {
-        Self::start(n as usize, |p, api| Some(Box::pin(f(p as u32, api))))
+        Self::start(n as usize, |p, api| Box::pin(f(p as u32, api)))
     }
 
     /// Starts one fiber per body (bodies may capture distinct state).
@@ -134,47 +133,22 @@ impl<Req, Resp> FiberPool<Req, Resp> {
     /// Returns once every fiber has either issued its first request or
     /// finished.
     pub fn spawn_each(bodies: Vec<FiberBody<Req, Resp>>) -> Self {
-        Self::spawn_selected(bodies.into_iter().map(Some).collect())
+        let mut bodies = bodies.into_iter();
+        Self::start(bodies.len(), |_, api| bodies.next().expect("one body per slot")(api))
     }
 
-    /// Starts a fiber per `Some` body; `None` slots become permanent
-    /// `Finished` placeholders that occupy a processor index without a body.
-    ///
-    /// This keeps processor ids global when a caller only drives a subset of
-    /// processors (the sharded engine spawns each physical node's fibers in
-    /// its own pool): `peek_request`/`take_request`/`resume` keep their
-    /// global-index signatures, placeholder slots simply report `Finished`
-    /// forever, and `live_count`/`join` see only the real fibers.
-    ///
-    /// Returns once every started fiber has either issued its first request
-    /// or finished.
-    pub fn spawn_selected(mut bodies: Vec<Option<FiberBody<Req, Resp>>>) -> Self {
-        Self::start(bodies.len(), |p, api| bodies[p].take().map(|body| body(api)))
-    }
-
-    /// Builds `n` slots from `start(p, api)` (`None` = placeholder), then
-    /// runs every started fiber to its first request.
-    fn start(
-        n: usize,
-        mut start: impl FnMut(usize, FiberApi<Req, Resp>) -> Option<FiberFuture>,
-    ) -> Self {
-        let mut pool = FiberPool { slots: Vec::with_capacity(n), live: 0 };
+    /// Builds `n` slots from `start(p, api)`, then runs every fiber to its
+    /// first request.
+    fn start(n: usize, mut start: impl FnMut(usize, FiberApi<Req, Resp>) -> FiberFuture) -> Self {
+        let mut pool = FiberPool { slots: Vec::with_capacity(n), live: n };
         for p in 0..n {
             let mailbox = Arc::new(Mutex::new(Mailbox { req: None, resp: None }));
-            let future = start(p, FiberApi { mailbox: Arc::clone(&mailbox) });
-            // Live slots hold a placeholder state until their first step.
-            let state = if future.is_some() {
-                pool.live += 1;
-                SlotState::AwaitingReply
-            } else {
-                SlotState::Finished
-            };
-            pool.slots.push(Slot { future, mailbox, state });
+            let future = Some(start(p, FiberApi { mailbox: Arc::clone(&mailbox) }));
+            // A placeholder state until the fiber's first step.
+            pool.slots.push(Slot { future, mailbox, state: SlotState::AwaitingReply });
         }
         for p in 0..n {
-            if pool.slots[p].future.is_some() {
-                pool.step(p as u32);
-            }
+            pool.step(p as u32);
         }
         pool
     }
@@ -395,32 +369,6 @@ mod tests {
         for p in 0..3 {
             let req = pool.take_request(p).unwrap();
             pool.resume(p, req * 2);
-        }
-        pool.join();
-    }
-
-    #[test]
-    fn spawn_selected_placeholders_stay_finished() {
-        let bodies: Vec<Option<FiberBody<u64, u64>>> = (0..4u64)
-            .map(|p| {
-                (p % 2 == 1).then(|| {
-                    Box::new(move |mut api: FiberApi<u64, u64>| {
-                        Box::pin(async move {
-                            assert_eq!(api.call(p).await, p + 1);
-                        }) as FiberFuture
-                    }) as FiberBody<u64, u64>
-                })
-            })
-            .collect();
-        let mut pool = FiberPool::spawn_selected(bodies);
-        assert_eq!(pool.len(), 4);
-        assert_eq!(pool.live_count(), 2);
-        assert!(pool.is_finished(0) && pool.is_finished(2));
-        assert_eq!(pool.peek_request(0), None);
-        assert_eq!(pool.take_request(2), None);
-        for p in [1u32, 3] {
-            let req = pool.take_request(p).unwrap();
-            assert_eq!(pool.resume(p, req + 1), Resumed::Finished);
         }
         pool.join();
     }

@@ -59,46 +59,9 @@ impl Trace {
         Trace { capacity, events: VecDeque::with_capacity(capacity.min(4_096)) }
     }
 
-    /// An unbounded journaling trace: records everything, drained
-    /// periodically with [`Trace::take_events`]. The sharded PDES engine
-    /// installs one per shard and replays the merged journals through the
-    /// parent's bounded trace in serial event order, so eviction happens
-    /// exactly where a serial run would evict.
-    pub fn journal() -> Self {
-        Trace { capacity: usize::MAX, events: VecDeque::new() }
-    }
-
     /// Whether recording is enabled.
     pub fn is_enabled(&self) -> bool {
         self.capacity > 0
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are currently held.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Appends an already-built event, honoring this trace's capacity
-    /// (evicting the oldest when full). Used to replay journaled events
-    /// into a bounded trace.
-    pub fn record_event(&mut self, e: TraceEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(e);
-    }
-
-    /// Drains every held event, oldest first.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events).into()
     }
 
     /// Records an event; `detail` is only evaluated when tracing is enabled.

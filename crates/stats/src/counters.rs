@@ -193,20 +193,6 @@ impl MissStats {
     pub fn total(&self) -> u64 {
         self.counts.iter().flatten().sum()
     }
-
-    /// Element-wise sum.
-    pub fn merged_with(&self, other: &MissStats) -> MissStats {
-        let mut out = *self;
-        for k in 0..3 {
-            for h in 0..2 {
-                out.counts[k][h] += other.counts[k][h];
-            }
-        }
-        out.false_misses += other.false_misses;
-        out.private_upgrades += other.private_upgrades;
-        out.merged += other.merged;
-        out
-    }
 }
 
 /// Protocol message classification (Figure 7).
@@ -267,16 +253,6 @@ impl MsgStats {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Element-wise sum.
-    pub fn merged_with(&self, other: &MsgStats) -> MsgStats {
-        let mut out = *self;
-        for i in 0..3 {
-            out.counts[i] += other.counts[i];
-            out.bytes[i] += other.bytes[i];
-        }
-        out
-    }
 }
 
 /// Histogram of downgrade messages sent per block downgrade (Figure 8).
@@ -330,15 +306,6 @@ impl DowngradeHist {
         let weighted: u64 = self.buckets.iter().enumerate().map(|(i, &c)| i as u64 * c).sum();
         weighted as f64 / total as f64
     }
-
-    /// Element-wise sum.
-    pub fn merged_with(&self, other: &DowngradeHist) -> DowngradeHist {
-        let mut out = *self;
-        for i in 0..Self::BUCKETS {
-            out.buckets[i] += other.buckets[i];
-        }
-        out
-    }
 }
 
 /// Inline-check accounting (Table 1).
@@ -352,18 +319,6 @@ pub struct CheckStats {
     pub checks: u64,
     /// Number of batched range accesses.
     pub batches: u64,
-}
-
-impl CheckStats {
-    /// Element-wise sum.
-    pub fn merged_with(&self, other: &CheckStats) -> CheckStats {
-        CheckStats {
-            check_cycles: self.check_cycles + other.check_cycles,
-            poll_cycles: self.poll_cycles + other.poll_cycles,
-            checks: self.checks + other.checks,
-            batches: self.batches + other.batches,
-        }
-    }
 }
 
 /// All statistics gathered from one simulated run.
@@ -447,8 +402,6 @@ mod tests {
         assert_eq!(m.get(MissKind::Read, Hops::Three), 1);
         assert_eq!(m.get(MissKind::Write, Hops::Two), 0);
         assert_eq!(m.total(), 3);
-        let two = m.merged_with(&m);
-        assert_eq!(two.total(), 6);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 # summary: the obs-overhead trajectory (one line per recorded run), the
 # sharing-advisor closed loop, the advisor-sweep trajectory (auto vs hand
 # Table 2 hints), the transport trajectory (with per-pair ACK-RTT metrics),
-# the per-topology breakdown trajectory, the PDES scaling trajectory
-# (serial vs sharded engine walls + bit-identity), the critical-path
-# trajectory (per-kernel path length + top-segment share + tiling), and a
-# generic scalar dump for any future artifact.
+# the per-topology breakdown trajectory, the critical-path trajectory
+# (per-kernel path length + top-segment share + tiling), and a generic
+# scalar dump for any future artifact.
 # Read-only; uses only the Python standard library.
 #
 # Usage: scripts/bench_summary.sh          (from anywhere; cd's to the repo root)
@@ -267,35 +266,6 @@ def topology_breakdown(doc):
             )
 
 
-def pdes_scaling(doc):
-    runs = doc.get("runs")
-    if runs is None:  # tolerate a hand-made single-run file
-        runs = [doc]
-    print(f"{len(runs)} recorded run(s); per run: geomean speedup / identity")
-    for i, run in enumerate(runs, 1):
-        cfg = run.get("config", {})
-        summ = run.get("summary", {})
-        print(
-            f"  run #{i}: preset={cfg.get('preset', '?')} "
-            f"procs={cfg.get('procs', '?')} sim_threads={cfg.get('sim_threads', '?')} "
-            f"host_cpus={cfg.get('host_cpus', '?')} "
-            f"geomean_speedup={summ.get('geomean_speedup', '?')}x "
-            f"all_identical={summ.get('all_identical', '?')}"
-        )
-    last = runs[-1].get("kernels", [])
-    if last:
-        print("  latest run, per kernel:")
-        w = max(len(k.get("name", "?")) for k in last)
-        for k in last:
-            print(
-                f"    {k.get('name', '?'):<{w}}  "
-                f"serial {k.get('wall_ms_serial', 0):8.1f} ms  "
-                f"sharded {k.get('wall_ms_sharded', 0):8.1f} ms "
-                f"({k.get('speedup', 0):.2f}x)  {k.get('windows', 0):>7} windows  "
-                f"{'identical' if k.get('identical') else 'DIVERGED'}"
-            )
-
-
 def critical_path(doc):
     runs = doc.get("runs")
     if runs is None:  # tolerate a hand-made single-run file
@@ -306,7 +276,7 @@ def critical_path(doc):
         summ = run.get("summary", {})
         print(
             f"  run #{i}: preset={cfg.get('preset', '?')} "
-            f"procs={cfg.get('procs', '?')} sim_threads={cfg.get('sim_threads', '?')} "
+            f"procs={cfg.get('procs', '?')} "
             f"host_cpus={cfg.get('host_cpus', '?')} "
             f"tiling_pass={summ.get('tiling_pass', '?')} "
             f"total_wall_ms={summ.get('total_wall_ms', '?')}"
@@ -361,8 +331,6 @@ for path in sys.argv[1:]:
         transport(doc)
     elif path == "BENCH_topology_breakdown.json":
         topology_breakdown(doc)
-    elif path == "BENCH_pdes_scaling.json":
-        pdes_scaling(doc)
     elif path == "BENCH_critical_path.json":
         critical_path(doc)
     else:

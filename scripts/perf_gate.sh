@@ -23,12 +23,6 @@
 #                            > 1), the bound tightens to 10%: multi-core
 #                            walls are steadier (no single-CPU scheduler
 #                            noise), so a smaller rise is already signal
-#   BENCH_pdes_scaling.json  fail if the last run's kernels are not all
-#                            bit-identical to the serial engine
-#                            (summary.all_identical) — gated from the FIRST
-#                            entry on — or, when the last two entries share
-#                            a config (preset/sim_threads/reps), if the
-#                            summed serial kernel wall rose by more than 25%
 #   BENCH_fault_sweep.json   fail if the last run's criterion booleans
 #                            (tolerated/hetero/loss/identity) are not all
 #                            true — gated from the FIRST entry on — or if
@@ -51,8 +45,8 @@
 #                            all tile elapsed_cycles exactly
 #                            (summary.tiling_pass) — gated from the FIRST
 #                            entry on — or, when the last two entries
-#                            share a config (preset/sim_threads), if
-#                            total_wall_ms rose by more than 25%
+#                            share a preset, if total_wall_ms rose by more
+#                            than 25%
 #
 # A file with fewer than two entries (or no file at all) is informational
 # only for the wall-time comparisons: the trajectory has nothing to compare
@@ -73,7 +67,6 @@ import sys
 OBS_MAX_DELTA_POINTS = 10.0
 HOST_MAX_RATIO = 1.15
 HOST_MAX_RATIO_MULTICORE = 1.10
-PDES_MAX_RATIO = 1.25
 FAULT_MAX_RATIO = 1.25
 TRANSPORT_MAX_RATIO = 1.50
 TOPOLOGY_MAX_RATIO = 1.25
@@ -159,38 +152,6 @@ if runs is not None:
     )
     if verdict == "FAIL":
         failures.append("host wall-clock regressed")
-
-runs = all_runs_of("BENCH_pdes_scaling.json")
-if runs:
-    summ = runs[-1]["summary"]
-    identical = summ.get("all_identical")
-    verdict = "OK" if identical is True else "FAIL"
-    print(f"BENCH_pdes_scaling.json: all_identical={identical} {verdict}")
-    if identical is not True:
-        failures.append("pdes-scaling runs diverged from the serial engine")
-    if len(runs) >= 2:
-        keys = ("preset", "sim_threads", "reps")
-        cfgs = [{k: r["config"].get(k) for k in keys} for r in runs[-2:]]
-        if cfgs[0] == cfgs[1]:
-            walls = [
-                sum(k["wall_ms_serial"] for k in r["kernels"]) for r in runs[-2:]
-            ]
-            ratio = walls[1] / walls[0] if walls[0] > 0 else float("inf")
-            verdict = "OK" if ratio <= PDES_MAX_RATIO else "FAIL"
-            print(
-                f"BENCH_pdes_scaling.json: serial kernel wall "
-                f"{walls[0]:.1f} -> {walls[1]:.1f} "
-                f"({ratio:.3f}x, limit {PDES_MAX_RATIO}x) {verdict}"
-            )
-            if verdict == "FAIL":
-                failures.append("pdes-scaling serial wall regressed")
-        else:
-            print(
-                "BENCH_pdes_scaling.json: last two entries differ in "
-                "config; wall-time gate skipped"
-            )
-    else:
-        print("BENCH_pdes_scaling.json: 1 entry; wall-time gate needs 2 — skipping")
 
 runs = all_runs_of("BENCH_fault_sweep.json")
 if runs:
@@ -284,7 +245,7 @@ if runs:
     if tiling is not True:
         failures.append("critical paths no longer tile elapsed_cycles")
     if len(runs) >= 2:
-        keys = ("preset", "sim_threads")
+        keys = ("preset",)
         cfgs = [{k: r["config"].get(k) for k in keys} for r in runs[-2:]]
         if cfgs[0] == cfgs[1]:
             prev = runs[-2]["summary"]["total_wall_ms"]
